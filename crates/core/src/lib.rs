@@ -48,4 +48,4 @@ pub use shard::{CoordinatorReport, ShardCoordinator, ShardSession};
 pub use snapshot::{
     RunFingerprint, ShardScope, SnapshotEntry, StreamFingerprint, TrainingSnapshot,
 };
-pub use trainer::{ParallelTrainer, StreamSource, TrainConfig, Trainer, TrainingLog};
+pub use trainer::{ParallelTrainer, StreamSource, TrainConfig, TrainSource, Trainer, TrainingLog};

@@ -202,20 +202,6 @@ impl TrainConfig {
             None => Tracer::disabled(),
         }
     }
-
-    /// The effective thread count: the `FEWNER_THREADS` environment
-    /// variable if set, else the `threads` field, with `0` resolved to the
-    /// machine's available parallelism.
-    pub fn resolved_threads(&self) -> usize {
-        let requested = env_threads().unwrap_or(self.threads);
-        if requested == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            requested
-        }
-    }
 }
 
 /// What happened during training.
@@ -450,8 +436,10 @@ impl ParallelTrainer {
 
 /// A streaming training source: the chunked corpus wrapped in a window
 /// sampler, plus the geometry recorded into (and checked against) snapshot
-/// fingerprints. Build one with [`StreamSource::open`] and hand it to
-/// [`Trainer::train_stream`] / [`Trainer::resume_stream`].
+/// fingerprints. Build one with [`StreamSource::open`] and pass it by
+/// `&mut` to [`Trainer::train`] or [`Trainer::resume`]: only the bounded
+/// resident window is in memory at any point, so million-sentence runs
+/// train in a few megabytes of corpus state.
 pub struct StreamSource {
     sampler: StreamSampler<StreamingCorpus>,
     geometry: StreamFingerprint,
@@ -493,8 +481,64 @@ impl StreamSource {
     }
 }
 
-/// Where the loop draws its tasks from. Window advancement on the stream
-/// side is RNG-free, so both variants leave `LoopState::rng` as the single
+/// What a run draws its tasks from. Both sources convert with `From`, so
+/// [`Trainer::train`] and [`Trainer::resume`] accept `&SplitView` and
+/// `&mut StreamSource` directly.
+pub enum TrainSource<'a> {
+    /// Tasks sampled from a materialized split.
+    View(&'a SplitView),
+    /// Tasks drawn from the resident window of a chunked corpus stream.
+    Stream(&'a mut StreamSource),
+}
+
+impl<'a> From<&'a SplitView> for TrainSource<'a> {
+    fn from(view: &'a SplitView) -> TrainSource<'a> {
+        TrainSource::View(view)
+    }
+}
+
+impl<'a> From<&'a mut StreamSource> for TrainSource<'a> {
+    fn from(source: &'a mut StreamSource) -> TrainSource<'a> {
+        TrainSource::Stream(source)
+    }
+}
+
+impl<'a> TrainSource<'a> {
+    /// The stream geometry recorded into snapshot fingerprints (`None` for
+    /// a materialized split).
+    fn geometry(&self) -> Option<StreamFingerprint> {
+        match self {
+            TrainSource::View(_) => None,
+            TrainSource::Stream(source) => Some(source.geometry),
+        }
+    }
+
+    /// Replays the stream window to exactly where a snapshot left it;
+    /// `sampler_rng` replays the draws, so the continuation is bitwise
+    /// identical to a straight run. A materialized split has no position.
+    fn seek(&mut self, cursor: Option<StreamCursor>, tracer: &Tracer) -> Result<()> {
+        match self {
+            TrainSource::View(_) => Ok(()),
+            TrainSource::Stream(source) => source.sampler.seek(cursor.unwrap_or_default(), tracer),
+        }
+    }
+
+    /// The sampler a run over this source draws `cfg`'s tasks from.
+    fn into_feed(self, cfg: &TrainConfig) -> Result<TaskFeed<'a>> {
+        Ok(match self {
+            TrainSource::View(view) => TaskFeed::View(EpisodeSampler::new(
+                view,
+                cfg.n_ways,
+                cfg.k_shots,
+                cfg.query_size,
+            )?),
+            TrainSource::Stream(source) => TaskFeed::Stream(&mut source.sampler),
+        })
+    }
+}
+
+/// The sampler the loop draws from. Window advancement on the stream side
+/// is RNG-free, so both variants leave `LoopState::rng` as the single
 /// sampling-randomness stream the snapshot needs.
 enum TaskFeed<'a> {
     View(EpisodeSampler<'a>),
@@ -555,6 +599,18 @@ impl LoopState {
             consecutive_skips: snap.consecutive_skips,
             next_decay: snap.next_decay,
             prior_wall_secs: snap.wall_secs,
+        }
+    }
+
+    /// The log of a run that spent `leg_secs` since this state was loaded.
+    fn into_log(self, cfg: &TrainConfig, leg_secs: f64) -> TrainingLog {
+        let wall_secs = self.prior_wall_secs + leg_secs;
+        TrainingLog {
+            secs_per_iteration: wall_secs / cfg.iterations.max(1) as f64,
+            losses: self.losses,
+            tasks_seen: self.tasks_seen,
+            skipped: self.skipped,
+            wall_secs,
         }
     }
 }
@@ -659,17 +715,19 @@ impl Trainer {
         }
     }
 
-    /// Meta-trains `learner` on tasks sampled from `view`.
+    /// Meta-trains `learner` on tasks drawn from `source`: a materialized
+    /// `&SplitView`, or a `&mut StreamSource` that never materializes the
+    /// corpus (its stream cursor rides along in every snapshot).
     ///
     /// With [`TrainConfig::checkpoint_every`] set, rolling
     /// [`TrainingSnapshot`]s land in [`TrainConfig::checkpoint_dir`]; a run
     /// killed at any point can be continued with [`Trainer::resume`]. With
     /// [`TrainConfig::shards`] > 1 this call becomes one worker of a
     /// multi-process run and blocks until its shard's part is done.
-    pub fn train<L>(
+    pub fn train<'s, L>(
         &self,
         learner: &mut L,
-        view: &SplitView,
+        source: impl Into<TrainSource<'s>>,
         enc: &TokenEncoder,
         meta: &MetaConfig,
         cfg: &TrainConfig,
@@ -677,31 +735,11 @@ impl Trainer {
     where
         L: EpisodicLearner + Sync + ?Sized,
     {
-        meta.validate()?;
-        let tracer = self.resolve_tracer(cfg);
-        let state = LoopState::fresh(meta, cfg);
-        let mut feed = TaskFeed::View(EpisodeSampler::new(
-            view,
-            cfg.n_ways,
-            cfg.k_shots,
-            cfg.query_size,
-        )?);
-        let engine = Engine::open(learner.name(), meta, cfg, None, 0);
-        let result = engine.and_then(|mut e| {
-            run_loop(
-                learner, &mut feed, None, enc, meta, cfg, state, &tracer, &mut e,
-            )
-        });
-        finish_trace(result, &tracer)
+        self.run(learner, source.into(), enc, meta, cfg, None)
     }
 
-    /// Meta-trains `learner` on tasks drawn from a chunked corpus stream —
-    /// [`Trainer::train`] without ever materializing the corpus. Only the
-    /// bounded resident window of `source` is in memory at any point, so
-    /// million-sentence runs train in a few megabytes of corpus state. The
-    /// snapshot story is unchanged: the stream cursor rides along in every
-    /// [`TrainingSnapshot`], and [`Trainer::resume_stream`] continues a
-    /// killed run bitwise-identically.
+    /// [`Trainer::train`] over a stream. Kept only as the call site of the
+    /// repository benchmark; new code calls `train` directly.
     pub fn train_stream<L>(
         &self,
         learner: &mut L,
@@ -713,103 +751,11 @@ impl Trainer {
     where
         L: EpisodicLearner + Sync + ?Sized,
     {
-        meta.validate()?;
-        let tracer = self.resolve_tracer(cfg);
-        let state = LoopState::fresh(meta, cfg);
-        let geometry = source.geometry;
-        let mut feed = TaskFeed::Stream(&mut source.sampler);
-        let engine = Engine::open(learner.name(), meta, cfg, Some(geometry), 0);
-        let result = engine.and_then(|mut e| {
-            run_loop(
-                learner,
-                &mut feed,
-                Some(geometry),
-                enc,
-                meta,
-                cfg,
-                state,
-                &tracer,
-                &mut e,
-            )
-        });
-        finish_trace(result, &tracer)
+        self.train(learner, source, enc, meta, cfg)
     }
 
-    /// Continues a checkpointed *streaming* run from the newest valid
-    /// snapshot in `dir`. The snapshot must have been written by a run with
-    /// the same stream geometry (corpus length, chunk size, window,
-    /// stride): the persisted cursor only addresses the same sentence under
-    /// the same chunking, so mismatches are refused like any other schedule
-    /// change.
-    pub fn resume_stream<L>(
-        &self,
-        learner: &mut L,
-        source: &mut StreamSource,
-        enc: &TokenEncoder,
-        meta: &MetaConfig,
-        cfg: &TrainConfig,
-        dir: impl AsRef<Path>,
-    ) -> Result<TrainingLog>
-    where
-        L: EpisodicLearner + Sync + ?Sized,
-    {
-        meta.validate()?;
-        let tracer = self.resolve_tracer(cfg);
-        let dir = dir.as_ref();
-        let geometry = source.geometry;
-        let expected = fingerprint_of(learner.name(), meta, cfg, Some(geometry));
-        let (snap, path) =
-            snapshot::latest_valid(dir, Some(&expected))?.ok_or_else(|| Error::Io {
-                path: dir.display().to_string(),
-                detail: "no training snapshots found".into(),
-            })?;
-        learner.import_state(&snap.learner)?;
-        let state = LoopState::from_snapshot(&snap);
-        // Replay the stream window to exactly where the snapshot left it;
-        // `sampler_rng` replays the draws, so the continuation is bitwise
-        // identical to a straight run.
-        source
-            .sampler
-            .seek(snap.stream_cursor.unwrap_or_default(), &tracer)?;
-        tracer.event(
-            "train/resume",
-            &[
-                ("iteration", Json::from(snap.iteration)),
-                ("snapshot", Json::from(path.display().to_string())),
-            ],
-        );
-        if state.iteration >= cfg.iterations {
-            return finish_trace(
-                Ok(TrainingLog {
-                    secs_per_iteration: state.prior_wall_secs / cfg.iterations.max(1) as f64,
-                    losses: state.losses,
-                    tasks_seen: state.tasks_seen,
-                    skipped: state.skipped,
-                    wall_secs: state.prior_wall_secs,
-                }),
-                &tracer,
-            );
-        }
-        let mut feed = TaskFeed::Stream(&mut source.sampler);
-        let engine = Engine::open(learner.name(), meta, cfg, Some(geometry), state.iteration);
-        let result = engine.and_then(|mut e| {
-            run_loop(
-                learner,
-                &mut feed,
-                Some(geometry),
-                enc,
-                meta,
-                cfg,
-                state,
-                &tracer,
-                &mut e,
-            )
-        });
-        finish_trace(result, &tracer)
-    }
-
-    /// Continues a checkpointed run from the newest valid snapshot in
-    /// `dir`.
+    /// Continues a checkpointed run over `source` from the newest valid
+    /// snapshot in `dir`.
     ///
     /// `learner` must be freshly constructed with the same architecture and
     /// configuration as the original run (constructors are
@@ -817,16 +763,20 @@ impl Trainer {
     /// via [`EpisodicLearner::import_state`]. The snapshot's
     /// [`RunFingerprint`] must match the given schedule — except for
     /// [`TrainConfig::iterations`], which may differ so a finished run can
-    /// be extended. Snapshots from a different run configuration (learner,
-    /// schedule, seed, or shard topology) are skipped over; if only such
-    /// foreign snapshots exist the resume is refused. Because the snapshot
-    /// carries every source of randomness, the resumed run's final θ is
+    /// be extended; a run already at `iterations` returns the log the
+    /// snapshot recorded. Snapshots from a different run configuration
+    /// (learner, schedule, seed, shard topology, or stream geometry) are
+    /// skipped over; if only such foreign snapshots exist the resume is
+    /// refused. A stream must have the same corpus length, chunk size,
+    /// window and stride, since the persisted cursor only addresses the
+    /// same sentence under the same chunking. Because the snapshot carries
+    /// every source of randomness, the resumed run's final θ is
     /// bitwise-identical to a straight-through run's, at any thread or
     /// shard count.
-    pub fn resume<L>(
+    pub fn resume<'s, L>(
         &self,
         learner: &mut L,
-        view: &SplitView,
+        source: impl Into<TrainSource<'s>>,
         enc: &TokenEncoder,
         meta: &MetaConfig,
         cfg: &TrainConfig,
@@ -835,48 +785,58 @@ impl Trainer {
     where
         L: EpisodicLearner + Sync + ?Sized,
     {
+        self.run(learner, source.into(), enc, meta, cfg, Some(dir.as_ref()))
+    }
+
+    /// The run body behind [`Trainer::train`] (`resume_from` = `None`) and
+    /// [`Trainer::resume`].
+    fn run<L>(
+        &self,
+        learner: &mut L,
+        mut source: TrainSource<'_>,
+        enc: &TokenEncoder,
+        meta: &MetaConfig,
+        cfg: &TrainConfig,
+        resume_from: Option<&Path>,
+    ) -> Result<TrainingLog>
+    where
+        L: EpisodicLearner + Sync + ?Sized,
+    {
         meta.validate()?;
         let tracer = self.resolve_tracer(cfg);
-        let dir = dir.as_ref();
-        let expected = fingerprint_of(learner.name(), meta, cfg, None);
-        let (snap, path) =
-            snapshot::latest_valid(dir, Some(&expected))?.ok_or_else(|| Error::Io {
-                path: dir.display().to_string(),
-                detail: "no training snapshots found".into(),
-            })?;
-        learner.import_state(&snap.learner)?;
-        let state = LoopState::from_snapshot(&snap);
-        tracer.event(
-            "train/resume",
-            &[
-                ("iteration", Json::from(snap.iteration)),
-                ("snapshot", Json::from(path.display().to_string())),
-            ],
-        );
-        if state.iteration >= cfg.iterations {
-            // Nothing left to train; report the run as the snapshot
-            // recorded it.
-            return finish_trace(
-                Ok(TrainingLog {
-                    secs_per_iteration: state.prior_wall_secs / cfg.iterations.max(1) as f64,
-                    losses: state.losses,
-                    tasks_seen: state.tasks_seen,
-                    skipped: state.skipped,
-                    wall_secs: state.prior_wall_secs,
-                }),
-                &tracer,
-            );
-        }
-        let mut feed = TaskFeed::View(EpisodeSampler::new(
-            view,
-            cfg.n_ways,
-            cfg.k_shots,
-            cfg.query_size,
-        )?);
-        let engine = Engine::open(learner.name(), meta, cfg, None, state.iteration);
+        let stream = source.geometry();
+        let state = match resume_from {
+            None => LoopState::fresh(meta, cfg),
+            Some(dir) => {
+                let expected = fingerprint_of(learner.name(), meta, cfg, stream);
+                let (snap, path) =
+                    snapshot::latest_valid(dir, Some(&expected))?.ok_or_else(|| Error::Io {
+                        path: dir.display().to_string(),
+                        detail: "no training snapshots found".into(),
+                    })?;
+                learner.import_state(&snap.learner)?;
+                source.seek(snap.stream_cursor, &tracer)?;
+                tracer.event(
+                    "train/resume",
+                    &[
+                        ("iteration", Json::from(snap.iteration)),
+                        ("snapshot", Json::from(path.display().to_string())),
+                    ],
+                );
+                let state = LoopState::from_snapshot(&snap);
+                if state.iteration >= cfg.iterations {
+                    // Nothing left to train; report the run as the snapshot
+                    // recorded it.
+                    return finish_trace(Ok(state.into_log(cfg, 0.0)), &tracer);
+                }
+                state
+            }
+        };
+        let mut feed = source.into_feed(cfg)?;
+        let engine = Engine::open(learner.name(), meta, cfg, stream, state.iteration);
         let result = engine.and_then(|mut e| {
             run_loop(
-                learner, &mut feed, None, enc, meta, cfg, state, &tracer, &mut e,
+                learner, &mut feed, stream, enc, meta, cfg, state, &tracer, &mut e,
             )
         });
         finish_trace(result, &tracer)
@@ -1028,14 +988,7 @@ where
             }
         }
     }
-    let wall_secs = state.prior_wall_secs + start.elapsed().as_secs_f64();
-    Ok(TrainingLog {
-        secs_per_iteration: wall_secs / cfg.iterations.max(1) as f64,
-        losses: state.losses,
-        tasks_seen: state.tasks_seen,
-        skipped: state.skipped,
-        wall_secs,
-    })
+    Ok(state.into_log(cfg, start.elapsed().as_secs_f64()))
 }
 
 #[cfg(test)]

@@ -6,86 +6,23 @@
 //! the tests here would otherwise steal each other's injected arms when the
 //! test harness runs them on parallel threads.
 
-use std::path::PathBuf;
+mod common;
 
+use common::{checkpoint_bytes, learner, meta, setup, state_of, tmp_dir};
 use fewner_core::{
-    Checkpoint, EpisodicLearner, Fewner, MetaConfig, ParallelTrainer, TaskOutcome, TrainConfig,
-    Trainer, TrainingSnapshot,
+    EpisodicLearner, ParallelTrainer, TaskOutcome, TrainConfig, Trainer, TrainingSnapshot,
 };
-use fewner_corpus::{split_types, DatasetProfile, TypeSplit};
 use fewner_episode::{EpisodeSampler, Task};
-use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
+use fewner_models::TokenEncoder;
 use fewner_tensor::ParamGrads;
-use fewner_text::embed::EmbeddingSpec;
 use fewner_util::fault::{self, FaultPlan};
 use fewner_util::{Error, Result, Rng};
-
-fn setup() -> (TypeSplit, TokenEncoder) {
-    let d = DatasetProfile::bionlp13cg().generate(0.05).unwrap();
-    let split = split_types(&d, (8, 3, 5), 1).unwrap();
-    let enc = TokenEncoder::build(
-        &[&d],
-        &EmbeddingSpec {
-            dim: 20,
-            ..EmbeddingSpec::default()
-        },
-        4,
-    );
-    (split, enc)
-}
-
-fn meta() -> MetaConfig {
-    MetaConfig {
-        meta_batch: 2,
-        inner_steps_train: 1,
-        ..MetaConfig::default()
-    }
-}
-
-fn learner(enc: &TokenEncoder) -> Fewner {
-    let bb = BackboneConfig {
-        word_dim: 20,
-        char_dim: 8,
-        char_filters: 6,
-        char_widths: vec![2, 3],
-        hidden: 10,
-        phi_dim: 8,
-        slot_ctx_dim: 4,
-        conditioning: Conditioning::Film,
-        dropout: 0.1,
-        use_char_cnn: true,
-        encoder: fewner_models::backbone::EncoderKind::BiGru,
-        head: HeadKind::Dense { n_ways: 3 },
-    };
-    Fewner::new(bb, enc, meta()).unwrap()
-}
 
 fn cfg(threads: usize) -> TrainConfig {
     TrainConfig::new(3, 1)
         .query_size(4)
         .seed(9)
         .threads(threads)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fewner-crash-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-/// The learner's complete exported training state as a comparable string.
-fn state_of(l: &Fewner) -> String {
-    l.export_state()
-        .expect("Fewner is checkpointable")
-        .to_string()
-}
-
-/// The θ_Meta checkpoint a run would ship, as on-disk bytes.
-fn checkpoint_bytes(l: &Fewner, dir: &std::path::Path, name: &str) -> Vec<u8> {
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join(name);
-    Checkpoint::capture(l).save(&path).unwrap();
-    std::fs::read(&path).unwrap()
 }
 
 /// Acceptance (a): training killed at iteration k and resumed produces the
@@ -356,5 +293,40 @@ fn resume_refuses_a_mismatched_run_fingerprint() {
         assert!(matches!(err, Error::Io { .. }));
         std::fs::remove_dir_all(dir).ok();
         std::fs::remove_dir_all(empty).ok();
+    });
+}
+
+/// Resuming a run that already reached its schedule takes the early-return
+/// path: nothing trains, the log is the one the snapshot recorded (skips
+/// included), and the learner holds the straight-through state.
+#[test]
+fn resuming_a_finished_run_returns_the_snapshot_log() {
+    let (split, enc) = setup();
+    fault::with_plan(FaultPlan::parse("task_grad_err:1").unwrap(), || {
+        let dir = tmp_dir("finished");
+        let m = meta();
+        let ck = cfg(1)
+            .iterations(6)
+            .checkpoint_every(3)
+            .checkpoint_dir(&dir);
+        let mut straight = learner(&enc);
+        let straight_log = Trainer::new()
+            .train(&mut straight, &split.train, &enc, &m, &ck)
+            .unwrap();
+        assert_eq!(straight_log.skipped, 1, "the injected error was skipped");
+
+        let mut resumed = learner(&enc);
+        let log = Trainer::new()
+            .resume(&mut resumed, &split.train, &enc, &m, &ck, &dir)
+            .unwrap();
+        assert_eq!(log.losses, straight_log.losses);
+        assert_eq!(log.tasks_seen, straight_log.tasks_seen);
+        assert_eq!(log.skipped, straight_log.skipped);
+        assert_eq!(
+            state_of(&straight),
+            state_of(&resumed),
+            "a finished resume must leave exactly the snapshot's state"
+        );
+        std::fs::remove_dir_all(dir).ok();
     });
 }

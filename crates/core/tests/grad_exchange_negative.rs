@@ -8,57 +8,16 @@
 //! the wrapper even where no arm fires) using the `@shard` scope so only
 //! the targeted worker mangles its frames.
 
-use fewner_core::{
-    CoordinatorReport, EpisodicLearner, Fewner, MetaConfig, ShardCoordinator, TrainConfig, Trainer,
-};
-use fewner_corpus::{split_types, DatasetProfile, TypeSplit};
-use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
-use fewner_obs::Tracer;
-use fewner_text::embed::EmbeddingSpec;
+mod common;
+
+use common::{learner, meta, setup, sharded, state_of};
+use fewner_core::{CoordinatorReport, TrainConfig, Trainer};
+use fewner_corpus::TypeSplit;
+use fewner_models::TokenEncoder;
 use fewner_util::fault::{self, FaultPlan};
 use fewner_util::Result;
 
 const ITERS: usize = 5;
-
-fn setup() -> (TypeSplit, TokenEncoder) {
-    let d = DatasetProfile::bionlp13cg().generate(0.05).unwrap();
-    let split = split_types(&d, (8, 3, 5), 1).unwrap();
-    let enc = TokenEncoder::build(
-        &[&d],
-        &EmbeddingSpec {
-            dim: 20,
-            ..EmbeddingSpec::default()
-        },
-        4,
-    );
-    (split, enc)
-}
-
-fn meta() -> MetaConfig {
-    MetaConfig {
-        meta_batch: 2,
-        inner_steps_train: 1,
-        ..MetaConfig::default()
-    }
-}
-
-fn learner(enc: &TokenEncoder) -> Fewner {
-    let bb = BackboneConfig {
-        word_dim: 20,
-        char_dim: 8,
-        char_filters: 6,
-        char_widths: vec![2, 3],
-        hidden: 10,
-        phi_dim: 8,
-        slot_ctx_dim: 4,
-        conditioning: Conditioning::Film,
-        dropout: 0.1,
-        use_char_cnn: true,
-        encoder: fewner_models::backbone::EncoderKind::BiGru,
-        head: HeadKind::Dense { n_ways: 3 },
-    };
-    Fewner::new(bb, enc, meta()).unwrap()
-}
 
 fn cfg() -> TrainConfig {
     TrainConfig::new(3, 1)
@@ -68,10 +27,6 @@ fn cfg() -> TrainConfig {
         .iterations(ITERS)
 }
 
-fn state_of(l: &Fewner) -> String {
-    l.export_state().expect("checkpointable").to_string()
-}
-
 /// A 2-shard run over real TCP; returns both workers' final states and the
 /// coordinator's report.
 fn two_shard_run(
@@ -79,25 +34,12 @@ fn two_shard_run(
     enc: &TokenEncoder,
 ) -> (Vec<Result<String>>, CoordinatorReport) {
     let m = meta();
-    let coordinator = ShardCoordinator::bind("127.0.0.1:0", 2).unwrap();
-    let addr = coordinator.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        let driver = scope.spawn(|| coordinator.run(&Tracer::disabled()));
-        let workers: Vec<_> = (0..2)
-            .map(|shard| {
-                let (addr, m) = (addr.as_str(), &m);
-                scope.spawn(move || {
-                    let schedule = cfg().shards(2).shard_id(shard).coordinator(addr);
-                    let mut l = learner(enc);
-                    Trainer::new()
-                        .train(&mut l, &split.train, enc, m, &schedule)
-                        .map(|_| state_of(&l))
-                })
-            })
-            .collect();
-        let states = workers.into_iter().map(|w| w.join().unwrap()).collect();
-        let report = driver.join().unwrap().expect("coordinator run failed");
-        (states, report)
+    sharded(2, |shard, addr| {
+        let schedule = cfg().shards(2).shard_id(shard).coordinator(addr);
+        let mut l = learner(enc);
+        Trainer::new()
+            .train(&mut l, &split.train, enc, &m, &schedule)
+            .map(|_| state_of(&l))
     })
 }
 

@@ -9,80 +9,20 @@
 //! empty plan) because the fault hook is process-global and parallel test
 //! threads would otherwise steal each other's arms.
 
-use std::path::PathBuf;
+mod common;
+
 use std::sync::Arc;
 
-use fewner_core::{Checkpoint, EpisodicLearner, Fewner, MetaConfig, TrainConfig, Trainer};
-use fewner_corpus::{split_types, DatasetProfile, TypeSplit};
-use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
+use common::{checkpoint_bytes, learner, meta, setup, state_of, tmp_dir};
+use fewner_core::{TrainConfig, Trainer};
 use fewner_obs::{Clock, ManualClock, MemorySink, TraceSummary, Tracer};
-use fewner_text::embed::EmbeddingSpec;
 use fewner_util::fault::{self, FaultPlan};
-
-fn setup() -> (TypeSplit, TokenEncoder) {
-    let d = DatasetProfile::bionlp13cg().generate(0.05).unwrap();
-    let split = split_types(&d, (8, 3, 5), 1).unwrap();
-    let enc = TokenEncoder::build(
-        &[&d],
-        &EmbeddingSpec {
-            dim: 20,
-            ..EmbeddingSpec::default()
-        },
-        4,
-    );
-    (split, enc)
-}
-
-fn meta() -> MetaConfig {
-    MetaConfig {
-        meta_batch: 2,
-        inner_steps_train: 1,
-        ..MetaConfig::default()
-    }
-}
-
-fn learner(enc: &TokenEncoder) -> Fewner {
-    let bb = BackboneConfig {
-        word_dim: 20,
-        char_dim: 8,
-        char_filters: 6,
-        char_widths: vec![2, 3],
-        hidden: 10,
-        phi_dim: 8,
-        slot_ctx_dim: 4,
-        conditioning: Conditioning::Film,
-        dropout: 0.1,
-        use_char_cnn: true,
-        encoder: fewner_models::backbone::EncoderKind::BiGru,
-        head: HeadKind::Dense { n_ways: 3 },
-    };
-    Fewner::new(bb, enc, meta()).unwrap()
-}
 
 fn cfg(threads: usize) -> TrainConfig {
     TrainConfig::new(3, 1)
         .query_size(4)
         .seed(9)
         .threads(threads)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fewner-obs-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-fn state_of(l: &Fewner) -> String {
-    l.export_state()
-        .expect("Fewner is checkpointable")
-        .to_string()
-}
-
-fn checkpoint_bytes(l: &Fewner, dir: &std::path::Path, name: &str) -> Vec<u8> {
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join(name);
-    Checkpoint::capture(l).save(&path).unwrap();
-    std::fs::read(&path).unwrap()
 }
 
 /// Acceptance: with tracing ON, training reaches bitwise-identical learner

@@ -15,32 +15,13 @@
 //! (`shard_die`) would take the whole test harness down and is exercised by
 //! the CI smoke job instead.
 
-use std::path::PathBuf;
+mod common;
 
-use fewner_core::{
-    Checkpoint, CoordinatorReport, EpisodicLearner, Fewner, MetaConfig, ShardCoordinator,
-    TrainConfig, Trainer,
-};
-use fewner_corpus::{split_types, DatasetProfile, TypeSplit};
-use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
-use fewner_obs::Tracer;
-use fewner_text::embed::EmbeddingSpec;
+use common::{checkpoint_bytes, setup, sharded, state_of, tmp_dir};
+use fewner_core::{Fewner, MetaConfig, TrainConfig, Trainer};
+use fewner_models::TokenEncoder;
 use fewner_util::fault::{self, FaultPlan};
-use fewner_util::{Error, Result};
-
-fn setup() -> (TypeSplit, TokenEncoder) {
-    let d = DatasetProfile::bionlp13cg().generate(0.05).unwrap();
-    let split = split_types(&d, (8, 3, 5), 1).unwrap();
-    let enc = TokenEncoder::build(
-        &[&d],
-        &EmbeddingSpec {
-            dim: 20,
-            ..EmbeddingSpec::default()
-        },
-        4,
-    );
-    (split, enc)
-}
+use fewner_util::Error;
 
 fn meta() -> MetaConfig {
     MetaConfig {
@@ -53,21 +34,7 @@ fn meta() -> MetaConfig {
 }
 
 fn learner(enc: &TokenEncoder) -> Fewner {
-    let bb = BackboneConfig {
-        word_dim: 20,
-        char_dim: 8,
-        char_filters: 6,
-        char_widths: vec![2, 3],
-        hidden: 10,
-        phi_dim: 8,
-        slot_ctx_dim: 4,
-        conditioning: Conditioning::Film,
-        dropout: 0.1,
-        use_char_cnn: true,
-        encoder: fewner_models::backbone::EncoderKind::BiGru,
-        head: HeadKind::Dense { n_ways: 3 },
-    };
-    Fewner::new(bb, enc, meta()).unwrap()
+    common::learner_with(enc, meta())
 }
 
 fn cfg(iterations: usize) -> TrainConfig {
@@ -76,58 +43,6 @@ fn cfg(iterations: usize) -> TrainConfig {
         .seed(9)
         .threads(1)
         .iterations(iterations)
-}
-
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fewner-shard-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-/// The learner's complete exported training state as a comparable string.
-fn state_of(l: &Fewner) -> String {
-    l.export_state()
-        .expect("Fewner is checkpointable")
-        .to_string()
-}
-
-/// The θ_Meta checkpoint a run would ship, as on-disk bytes.
-fn checkpoint_bytes(l: &Fewner, dir: &std::path::Path, name: &str) -> Vec<u8> {
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join(name);
-    Checkpoint::capture(l).save(&path).unwrap();
-    std::fs::read(&path).unwrap()
-}
-
-/// Runs a full sharded round-trip in-process: a coordinator thread plus
-/// `shards` worker threads, each executing `work(shard_id)` — which builds
-/// its own schedule via [`topology`]. Returns every worker's result (shard
-/// order) and the coordinator's report.
-fn sharded<T, F>(shards: usize, work: F) -> (Vec<Result<T>>, CoordinatorReport)
-where
-    T: Send,
-    F: Fn(usize, &str) -> Result<T> + Sync,
-{
-    let coordinator = ShardCoordinator::bind("127.0.0.1:0", shards).unwrap();
-    let addr = coordinator.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        let driver = scope.spawn(|| coordinator.run(&Tracer::disabled()));
-        let workers: Vec<_> = (0..shards)
-            .map(|shard| {
-                let (addr, work) = (addr.as_str(), &work);
-                scope.spawn(move || work(shard, addr))
-            })
-            .collect();
-        let results = workers
-            .into_iter()
-            .map(|w| w.join().expect("worker thread panicked"))
-            .collect();
-        let report = driver
-            .join()
-            .expect("coordinator thread panicked")
-            .expect("coordinator run failed");
-        (results, report)
-    })
 }
 
 /// Wires one worker's shard topology into a training schedule.

@@ -8,21 +8,18 @@
 //! with no faults to inject — because the fault plan is process-global and
 //! parallel tests would otherwise steal each other's injected arms.
 
-use std::path::PathBuf;
+mod common;
 
-use fewner_core::{
-    Checkpoint, CoordinatorReport, EpisodicLearner, Fewner, MetaConfig, ShardCoordinator,
-    StreamSource, TrainConfig, Trainer,
-};
+use common::{checkpoint_bytes, learner, meta, sharded, state_of, tmp_dir};
+use fewner_core::{MetaConfig, StreamSource, TrainConfig, Trainer};
 use fewner_corpus::{
     partition_type_ids, CorpusSource, DatasetProfile, StreamingCorpus, TypePartition,
 };
-use fewner_models::{BackboneConfig, Conditioning, HeadKind, TokenEncoder};
-use fewner_obs::Tracer;
+use fewner_models::TokenEncoder;
 use fewner_text::embed::EmbeddingSpec;
 use fewner_text::TypeId;
 use fewner_util::fault::{self, FaultPlan};
-use fewner_util::{Error, Result};
+use fewner_util::Error;
 
 const CHUNK: usize = 64;
 const WINDOW: usize = 200;
@@ -49,32 +46,6 @@ fn setup() -> (StreamingCorpus, TypePartition, TokenEncoder) {
     (corpus, train, enc)
 }
 
-fn meta() -> MetaConfig {
-    MetaConfig {
-        meta_batch: 2,
-        inner_steps_train: 1,
-        ..MetaConfig::default()
-    }
-}
-
-fn learner(enc: &TokenEncoder) -> Fewner {
-    let bb = BackboneConfig {
-        word_dim: 20,
-        char_dim: 8,
-        char_filters: 6,
-        char_widths: vec![2, 3],
-        hidden: 10,
-        phi_dim: 8,
-        slot_ctx_dim: 4,
-        conditioning: Conditioning::Film,
-        dropout: 0.1,
-        use_char_cnn: true,
-        encoder: fewner_models::backbone::EncoderKind::BiGru,
-        head: HeadKind::Dense { n_ways: 3 },
-    };
-    Fewner::new(bb, enc, meta()).unwrap()
-}
-
 fn cfg(iterations: usize) -> TrainConfig {
     TrainConfig::new(3, 1)
         .query_size(4)
@@ -91,58 +62,8 @@ fn source(
     StreamSource::open(corpus.clone(), partition.clone(), schedule, WINDOW, STRIDE).unwrap()
 }
 
-fn tmp_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fewner-stream-{name}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-/// The learner's complete exported training state as a comparable string.
-fn state_of(l: &Fewner) -> String {
-    l.export_state()
-        .expect("Fewner is checkpointable")
-        .to_string()
-}
-
-/// The θ_Meta checkpoint a run would ship, as on-disk bytes.
-fn checkpoint_bytes(l: &Fewner, dir: &std::path::Path, name: &str) -> Vec<u8> {
-    std::fs::create_dir_all(dir).unwrap();
-    let path = dir.join(name);
-    Checkpoint::capture(l).save(&path).unwrap();
-    std::fs::read(&path).unwrap()
-}
-
-/// Runs a full sharded round-trip in-process: a coordinator thread plus
-/// `shards` worker threads (same harness as the sharded-determinism suite).
-fn sharded<T, F>(shards: usize, work: F) -> (Vec<Result<T>>, CoordinatorReport)
-where
-    T: Send,
-    F: Fn(usize, &str) -> Result<T> + Sync,
-{
-    let coordinator = ShardCoordinator::bind("127.0.0.1:0", shards).unwrap();
-    let addr = coordinator.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        let driver = scope.spawn(|| coordinator.run(&Tracer::disabled()));
-        let workers: Vec<_> = (0..shards)
-            .map(|shard| {
-                let (addr, work) = (addr.as_str(), &work);
-                scope.spawn(move || work(shard, addr))
-            })
-            .collect();
-        let results = workers
-            .into_iter()
-            .map(|w| w.join().expect("worker thread panicked"))
-            .collect();
-        let report = driver
-            .join()
-            .expect("coordinator thread panicked")
-            .expect("coordinator run failed");
-        (results, report)
-    })
-}
-
 /// Acceptance: streaming training killed at iteration k and resumed through
-/// [`Trainer::resume_stream`] — with the window replayed from the persisted
+/// [`Trainer::resume`] — with the window replayed from the persisted
 /// cursor — produces the byte-identical final checkpoint of a
 /// straight-through streaming run.
 #[test]
@@ -180,7 +101,7 @@ fn streaming_kill_and_resume_is_bitwise_identical() {
         let rk = cfg(12).checkpoint_every(3).checkpoint_dir(&dir);
         let mut src = source(&corpus, &train, &rk);
         let log = Trainer::new()
-            .resume_stream(&mut resumed, &mut src, &enc, &m, &rk, &dir)
+            .resume(&mut resumed, &mut src, &enc, &m, &rk, &dir)
             .unwrap();
 
         assert_eq!(log.losses.len(), 12, "full loss history is restored");
@@ -268,7 +189,7 @@ fn resume_refuses_a_mismatched_stream_geometry() {
         let mut narrow =
             StreamSource::open(corpus.clone(), train.clone(), &rk, WINDOW / 2, STRIDE).unwrap();
         let err = Trainer::new()
-            .resume_stream(&mut other, &mut narrow, &enc, &m, &rk, &dir)
+            .resume(&mut other, &mut narrow, &enc, &m, &rk, &dir)
             .unwrap_err();
         assert!(
             matches!(err, Error::InvalidConfig(_)),
@@ -285,6 +206,39 @@ fn resume_refuses_a_mismatched_stream_geometry() {
         assert!(
             matches!(err, Error::InvalidConfig(_)),
             "expected InvalidConfig resuming a stream snapshot as a view run, got {err:?}"
+        );
+        std::fs::remove_dir_all(dir).ok();
+    });
+}
+
+/// Resuming a finished streaming run takes the same early-return path as a
+/// materialized one: the snapshot's log comes back unchanged and the
+/// learner holds the straight-through state.
+#[test]
+fn resuming_a_finished_stream_run_returns_the_snapshot_log() {
+    let (corpus, train, enc) = setup();
+    fault::with_plan(FaultPlan::parse("").unwrap(), || {
+        let dir = tmp_dir("finished");
+        let m = meta();
+        let ck = cfg(6).checkpoint_every(3).checkpoint_dir(&dir);
+        let mut straight = learner(&enc);
+        let mut src = source(&corpus, &train, &ck);
+        let straight_log = Trainer::new()
+            .train(&mut straight, &mut src, &enc, &m, &ck)
+            .unwrap();
+
+        let mut resumed = learner(&enc);
+        let mut src = source(&corpus, &train, &ck);
+        let log = Trainer::new()
+            .resume(&mut resumed, &mut src, &enc, &m, &ck, &dir)
+            .unwrap();
+        assert_eq!(log.losses, straight_log.losses);
+        assert_eq!(log.tasks_seen, straight_log.tasks_seen);
+        assert_eq!(log.skipped, straight_log.skipped);
+        assert_eq!(
+            state_of(&straight),
+            state_of(&resumed),
+            "a finished resume must leave exactly the snapshot's state"
         );
         std::fs::remove_dir_all(dir).ok();
     });

@@ -3,28 +3,22 @@
 //! Used by the CLI, the load generator and the end-to-end tests; external
 //! callers can treat it as reference documentation for the wire format.
 //!
-//! Two layers: [`Client`] is one bare connection — one request line in, one
-//! response line out. [`RetryClient`] wraps it with the resilience
-//! envelope: per-request ids (echoed by the server so stale replies are
-//! detected), an `attempt` counter, deadline propagation, and a seeded
+//! Every request travels in the resilience envelope: a per-request `id`
+//! (echoed by the server so stale replies are detected), an `attempt`
+//! counter on retries, the policy's deadline, and a seeded
 //! exponential-backoff retry loop that reconnects on connection-level
-//! failures. Retries are safe for `adapt` because the server's φ-cache is
-//! single-flight per `(tenant, task)` — a retried adapt lands on the same
-//! settled cell instead of running a second inner loop.
+//! failures. [`Client::connect`] retries nothing; [`Client::new`] takes a
+//! [`RetryPolicy`]. Retries are safe for `adapt` because the server's
+//! φ-cache is single-flight per `(tenant, task)` — a retried adapt lands on
+//! the same settled cell instead of running a second inner loop.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use fewner_util::{Error, Json, Result, Rng};
 
 use crate::protocol::{Request, Response, SupportSentence};
-
-/// One connection to a running `fewner serve` daemon.
-pub struct Client {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
 
 fn io_err(what: &str, e: std::io::Error) -> Error {
     Error::Io {
@@ -33,196 +27,7 @@ fn io_err(what: &str, e: std::io::Error) -> Error {
     }
 }
 
-impl Client {
-    /// Connects to a serving daemon.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
-        let stream = TcpStream::connect(addr).map_err(|e| io_err("connect", e))?;
-        stream.set_nodelay(true).ok();
-        let reader = BufReader::new(stream.try_clone().map_err(|e| io_err("connect", e))?);
-        Ok(Client {
-            reader,
-            writer: stream,
-        })
-    }
-
-    /// Bounds every socket read and write. A client that sets this can
-    /// never block forever on a wedged or partitioned server; the timeout
-    /// surfaces as an [`Error::Io`].
-    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
-        self.writer
-            .set_read_timeout(timeout)
-            .map_err(|e| io_err("timeout", e))?;
-        self.writer
-            .set_write_timeout(timeout)
-            .map_err(|e| io_err("timeout", e))
-    }
-
-    /// Sends one raw request line and reads back one raw response line
-    /// (trailing newline stripped). The envelope layer uses this to attach
-    /// fields the typed [`Request`] does not model.
-    pub fn request_raw(&mut self, line: &str) -> Result<String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .map_err(|e| io_err("send", e))?;
-        self.writer
-            .write_all(b"\n")
-            .map_err(|e| io_err("send", e))?;
-        self.writer.flush().map_err(|e| io_err("send", e))?;
-        let mut buf = String::new();
-        let n = self
-            .reader
-            .read_line(&mut buf)
-            .map_err(|e| io_err("recv", e))?;
-        if n == 0 {
-            return Err(Error::Io {
-                path: "recv".into(),
-                detail: "server closed the connection".into(),
-            });
-        }
-        buf.truncate(buf.trim_end().len());
-        Ok(buf)
-    }
-
-    /// Sends one request line and reads one response line.
-    pub fn request(&mut self, req: &Request) -> Result<Response> {
-        let line = self.request_raw(&req.to_json().to_string())?;
-        Response::from_json(&Json::parse(&line)?)
-    }
-
-    /// Sends a request and converts error responses into typed errors
-    /// (`overloaded` becomes [`Error::Overloaded`]).
-    fn request_ok(&mut self, req: &Request) -> Result<Response> {
-        let resp = self.request(req)?;
-        match resp.to_error() {
-            Some(e) => Err(e),
-            None => Ok(resp),
-        }
-    }
-
-    /// Liveness probe.
-    pub fn ping(&mut self) -> Result<()> {
-        match self.request_ok(&Request::Ping)? {
-            Response::Pong => Ok(()),
-            other => Err(unexpected("pong", &other)),
-        }
-    }
-
-    /// Adapts (or warms) `(tenant, task)` from a support set; returns the
-    /// context source (`hot`, `warm` or `cold`).
-    pub fn adapt(
-        &mut self,
-        tenant: &str,
-        task: &str,
-        ways: usize,
-        support: Vec<SupportSentence>,
-    ) -> Result<String> {
-        let req = Request::Adapt {
-            tenant: tenant.to_string(),
-            task: task.to_string(),
-            ways,
-            support,
-            deadline_ms: None,
-        };
-        match self.request_ok(&req)? {
-            Response::Adapted { source } => Ok(source),
-            other => Err(unexpected("adapt ack", &other)),
-        }
-    }
-
-    /// Grows `(tenant, task)` with newly arrived support (incremental
-    /// online adaptation); returns the context's new revision plus how it
-    /// was produced (`extended`, or `cold` when the key was unknown and a
-    /// full adapt ran instead).
-    pub fn extend(
-        &mut self,
-        tenant: &str,
-        task: &str,
-        ways: usize,
-        support: Vec<SupportSentence>,
-    ) -> Result<(u32, String)> {
-        let req = Request::Extend {
-            tenant: tenant.to_string(),
-            task: task.to_string(),
-            ways,
-            support,
-            deadline_ms: None,
-        };
-        match self.request_ok(&req)? {
-            Response::Extended { revision, source } => Ok((revision, source)),
-            other => Err(unexpected("extend ack", &other)),
-        }
-    }
-
-    /// Predicts tags for query sentences under an already-adapted task.
-    pub fn predict(
-        &mut self,
-        tenant: &str,
-        task: &str,
-        sentences: &[Vec<String>],
-    ) -> Result<Vec<Vec<String>>> {
-        self.predict_req(tenant, task, sentences, None)
-    }
-
-    /// Predicts with an inline support set (adapt-on-miss in one round
-    /// trip).
-    pub fn predict_with_support(
-        &mut self,
-        tenant: &str,
-        task: &str,
-        sentences: &[Vec<String>],
-        ways: usize,
-        support: Vec<SupportSentence>,
-    ) -> Result<Vec<Vec<String>>> {
-        self.predict_req(tenant, task, sentences, Some((ways, support)))
-    }
-
-    fn predict_req(
-        &mut self,
-        tenant: &str,
-        task: &str,
-        sentences: &[Vec<String>],
-        inline: Option<(usize, Vec<SupportSentence>)>,
-    ) -> Result<Vec<Vec<String>>> {
-        let (ways, support) = match inline {
-            Some((w, s)) => (Some(w), Some(s)),
-            None => (None, None),
-        };
-        let req = Request::Predict {
-            tenant: tenant.to_string(),
-            task: task.to_string(),
-            sentences: sentences.to_vec(),
-            ways,
-            support,
-            deadline_ms: None,
-        };
-        match self.request_ok(&req)? {
-            Response::Predictions { tags } => Ok(tags),
-            other => Err(unexpected("predictions", &other)),
-        }
-    }
-
-    /// Counter snapshot (cache + queue), sorted by name.
-    pub fn stats(&mut self) -> Result<Vec<(String, u64)>> {
-        match self.request_ok(&Request::Stats)? {
-            Response::Stats { counters } => Ok(counters),
-            other => Err(unexpected("stats", &other)),
-        }
-    }
-
-    /// Requests an orderly shutdown of the daemon.
-    pub fn shutdown(&mut self) -> Result<()> {
-        match self.request_ok(&Request::Shutdown)? {
-            Response::ShuttingDown => Ok(()),
-            other => Err(unexpected("shutdown ack", &other)),
-        }
-    }
-}
-
-fn unexpected(wanted: &str, got: &Response) -> Error {
-    Error::Serde(format!("expected {wanted}, got {:?}", got))
-}
-
-/// Retry knobs for [`RetryClient`]. Backoff is exponential from
+/// Retry knobs for [`Client::new`]. Backoff is exponential from
 /// `base_backoff_ms`, capped at `max_backoff_ms`, with ±50% jitter drawn
 /// from a seeded in-tree [`Rng`] — two clients with the same seed back off
 /// identically, which keeps chaos tests reproducible.
@@ -234,8 +39,8 @@ pub struct RetryPolicy {
     pub base_backoff_ms: u64,
     /// Backoff ceiling in milliseconds (default 500).
     pub max_backoff_ms: u64,
-    /// Deadline attached to every adapt/predict request, and used to size
-    /// the socket timeout. `None` leaves requests unbounded.
+    /// Deadline attached to every adapt/extend/predict request, and used to
+    /// size the socket timeout. `None` leaves requests unbounded.
     pub deadline_ms: Option<u64>,
     /// Seed for the jitter stream.
     pub seed: u64,
@@ -285,7 +90,7 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What a [`RetryClient`] has been through, for load reports and tests.
+/// What a [`Client`] has been through, for load reports and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RetryStats {
     /// Attempts beyond the first, across all requests.
@@ -296,34 +101,117 @@ pub struct RetryStats {
     pub deadline_misses: u64,
 }
 
-/// A self-healing client: reconnects on connection failures and retries
-/// transient errors with seeded exponential backoff.
+/// One open socket: one request line in, one response line out.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Conn {
+    fn open(addrs: &[SocketAddr], timeout: Option<Duration>) -> Result<Conn> {
+        let stream = TcpStream::connect(addrs).map_err(|e| io_err("connect", e))?;
+        stream.set_nodelay(true).ok();
+        let reader = BufReader::new(stream.try_clone().map_err(|e| io_err("connect", e))?);
+        let conn = Conn {
+            reader,
+            writer: stream,
+        };
+        conn.set_timeout(timeout)?;
+        Ok(conn)
+    }
+
+    fn set_timeout(&self, timeout: Option<Duration>) -> Result<()> {
+        self.writer
+            .set_read_timeout(timeout)
+            .map_err(|e| io_err("timeout", e))?;
+        self.writer
+            .set_write_timeout(timeout)
+            .map_err(|e| io_err("timeout", e))
+    }
+
+    /// Sends one line and reads back one line (trailing newline stripped).
+    fn exchange(&mut self, line: &str) -> Result<String> {
+        let send = |e| io_err("send", e);
+        self.writer.write_all(line.as_bytes()).map_err(send)?;
+        self.writer.write_all(b"\n").map_err(send)?;
+        self.writer.flush().map_err(send)?;
+        let mut buf = String::new();
+        let n = self
+            .reader
+            .read_line(&mut buf)
+            .map_err(|e| io_err("recv", e))?;
+        if n == 0 {
+            return Err(Error::Io {
+                path: "recv".into(),
+                detail: "server closed the connection".into(),
+            });
+        }
+        buf.truncate(buf.trim_end().len());
+        Ok(buf)
+    }
+}
+
+/// A client of a running `fewner serve` daemon.
 ///
-/// Retryable classes: [`Error::Io`] (drop, timeout), [`Error::Serde`]
-/// (corrupt frame, stale reply), [`Error::Overloaded`] (shed) and
-/// [`Error::DeadlineExceeded`]. Everything else — bad requests, unknown
+/// A failed read or write, or a garbled or stale reply, drops the
+/// connection; the next attempt reconnects. Transient failures are retried
+/// up to the policy's budget: [`Error::Io`] (drop, timeout),
+/// [`Error::Serde`] (corrupt frame, stale reply), and `overloaded` or
+/// `deadline_exceeded` replies. Everything else — bad requests, unknown
 /// tasks — fails fast, since retrying cannot change the answer.
-pub struct RetryClient {
-    addr: String,
+pub struct Client {
+    addrs: Vec<SocketAddr>,
     policy: RetryPolicy,
+    io_timeout: Option<Duration>,
     rng: Rng,
-    conn: Option<Client>,
+    conn: Option<Conn>,
     next_id: u64,
     stats: RetryStats,
 }
 
-impl RetryClient {
-    /// Creates a client for `addr`; the connection is established lazily on
-    /// the first request.
-    pub fn new(addr: impl Into<String>, policy: RetryPolicy) -> RetryClient {
-        let rng = Rng::new(policy.seed);
-        RetryClient {
-            addr: addr.into(),
+impl Client {
+    /// Connects to a serving daemon now, with no retries and no deadline.
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Client> {
+        let addrs = addr.to_socket_addrs().map_err(|e| io_err("connect", e))?;
+        let mut client = Client::resolved(addrs.collect(), RetryPolicy::new().max_retries(0));
+        client.conn = Some(Conn::open(&client.addrs, client.io_timeout)?);
+        Ok(client)
+    }
+
+    /// A client for `addr` under `policy`; the connection is established
+    /// lazily on the first request (an unresolvable address fails it then).
+    /// With a policy deadline the socket timeout defaults to twice the
+    /// deadline plus 500 ms, so a wedged server surfaces as a retryable
+    /// I/O error.
+    pub fn new(addr: impl ToSocketAddrs, policy: RetryPolicy) -> Client {
+        let addrs = addr.to_socket_addrs().map(Iterator::collect);
+        Client::resolved(addrs.unwrap_or_default(), policy)
+    }
+
+    fn resolved(addrs: Vec<SocketAddr>, policy: RetryPolicy) -> Client {
+        let io_timeout = policy
+            .deadline_ms
+            .map(|ms| Duration::from_millis(ms.saturating_mul(2) + 500));
+        Client {
+            addrs,
+            rng: Rng::new(policy.seed),
             policy,
-            rng,
+            io_timeout,
             conn: None,
             next_id: 0,
             stats: RetryStats::default(),
+        }
+    }
+
+    /// Bounds every socket read and write, on this connection and every
+    /// reconnect. A client that sets this can never block forever on a
+    /// wedged or partitioned server; the timeout surfaces as an
+    /// [`Error::Io`].
+    pub fn set_io_timeout(&mut self, timeout: Option<Duration>) -> Result<()> {
+        self.io_timeout = timeout;
+        match &self.conn {
+            Some(conn) => conn.set_timeout(timeout),
+            None => Ok(()),
         }
     }
 
@@ -332,53 +220,51 @@ impl RetryClient {
         self.stats
     }
 
-    /// Sends a request through the retry loop.
+    /// Sends a request through the retry loop and returns the server's
+    /// reply. Error replies come back as [`Response::Error`] values once
+    /// the retry budget is spent (or at once, if retrying cannot help).
     pub fn request(&mut self, req: &Request) -> Result<Response> {
         let id = format!("r{}", self.next_id);
         self.next_id += 1;
         let mut attempt: u32 = 0;
         loop {
-            match self.attempt_once(req, &id, attempt) {
-                Ok(resp) => return Ok(resp),
-                Err(e) => {
-                    // A failed read/write or a garbled frame leaves the
-                    // stream in an unknown state: drop the connection so
-                    // the next attempt starts clean.
-                    if matches!(&e, Error::Io { .. } | Error::Serde(_))
-                        && self.conn.take().is_some()
-                    {
-                        self.stats.reconnects += 1;
-                    }
-                    let retryable = matches!(
-                        &e,
-                        Error::Io { .. }
-                            | Error::Serde(_)
-                            | Error::Overloaded { .. }
-                            | Error::DeadlineExceeded { .. }
-                    );
-                    if !retryable || attempt >= self.policy.max_retries {
-                        if matches!(&e, Error::DeadlineExceeded { .. }) {
-                            self.stats.deadline_misses += 1;
-                        }
-                        return Err(e);
-                    }
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    self.backoff(attempt);
-                }
+            let outcome = self.attempt(req, &id, attempt);
+            // A failed read/write or a garbled frame leaves the stream in an
+            // unknown state: drop the connection so the next attempt starts
+            // clean.
+            if matches!(outcome, Err(Error::Io { .. } | Error::Serde(_)))
+                && self.conn.take().is_some()
+            {
+                self.stats.reconnects += 1;
             }
+            let reply_error = outcome.as_ref().ok().and_then(Response::to_error);
+            let error = outcome.as_ref().err().or(reply_error.as_ref());
+            let transient = matches!(
+                error,
+                Some(
+                    Error::Io { .. }
+                        | Error::Serde(_)
+                        | Error::Overloaded { .. }
+                        | Error::DeadlineExceeded { .. }
+                )
+            );
+            if !transient || attempt >= self.policy.max_retries {
+                if matches!(error, Some(Error::DeadlineExceeded { .. })) {
+                    self.stats.deadline_misses += 1;
+                }
+                return outcome;
+            }
+            attempt += 1;
+            self.stats.retries += 1;
+            std::thread::sleep(self.backoff(attempt));
         }
     }
 
-    fn attempt_once(&mut self, req: &Request, id: &str, attempt: u32) -> Result<Response> {
+    /// One try: (re)connect if needed, send `req` in the envelope, and
+    /// check that the reply answers this request and not an earlier one.
+    fn attempt(&mut self, req: &Request, id: &str, attempt: u32) -> Result<Response> {
         if self.conn.is_none() {
-            let mut conn = Client::connect(&self.addr)?;
-            // Socket timeout = deadline + slack, so a wedged server surfaces
-            // as a retryable I/O error instead of an indefinite block.
-            if let Some(ms) = self.policy.deadline_ms {
-                conn.set_io_timeout(Some(Duration::from_millis(ms.saturating_mul(2) + 500)))?;
-            }
-            self.conn = Some(conn);
+            self.conn = Some(Conn::open(&self.addrs, self.io_timeout)?);
         }
         let conn = self.conn.as_mut().expect("connection just ensured");
         let mut json = req.to_json();
@@ -388,8 +274,7 @@ impl RetryClient {
                 fields.push(("attempt".into(), Json::from(attempt as u64)));
             }
         }
-        let line = conn.request_raw(&json.to_string())?;
-        let parsed = Json::parse(&line)?;
+        let parsed = Json::parse(&conn.exchange(&json.to_string())?)?;
         if let Some(echo) = parsed.get("id") {
             if echo.as_str().ok() != Some(id) {
                 return Err(Error::Serde(format!(
@@ -397,23 +282,22 @@ impl RetryClient {
                 )));
             }
         }
-        let resp = Response::from_json(&parsed)?;
-        match resp.to_error() {
-            Some(e) => Err(e),
-            None => Ok(resp),
-        }
+        Response::from_json(&parsed)
     }
 
-    fn backoff(&mut self, attempt: u32) {
+    /// The jittered delay before retry number `attempt` (1-based).
+    fn backoff(&mut self, attempt: u32) -> Duration {
         let exp = self
             .policy
             .base_backoff_ms
             .saturating_mul(1u64 << (attempt - 1).min(16));
         let capped = exp.min(self.policy.max_backoff_ms);
         let ms = (capped as f32 * self.rng.uniform(0.5, 1.5)) as u64;
-        std::thread::sleep(Duration::from_millis(ms.max(1)));
+        Duration::from_millis(ms.max(1))
     }
 
+    /// Sends a request and converts error replies into typed errors
+    /// (`overloaded` becomes [`Error::Overloaded`]).
     fn request_ok(&mut self, req: &Request) -> Result<Response> {
         let resp = self.request(req)?;
         match resp.to_error() {
@@ -422,7 +306,7 @@ impl RetryClient {
         }
     }
 
-    /// Liveness probe (retried).
+    /// Liveness probe.
     pub fn ping(&mut self) -> Result<()> {
         match self.request_ok(&Request::Ping)? {
             Response::Pong => Ok(()),
@@ -430,8 +314,9 @@ impl RetryClient {
         }
     }
 
-    /// Adapts `(tenant, task)` with the policy deadline attached; safe to
-    /// retry thanks to the server-side single-flight cache.
+    /// Adapts (or warms) `(tenant, task)` from a support set; returns the
+    /// context source (`hot`, `warm` or `cold`). Safe to retry thanks to
+    /// the server-side single-flight cache.
     pub fn adapt(
         &mut self,
         tenant: &str,
@@ -452,10 +337,12 @@ impl RetryClient {
         }
     }
 
-    /// Grows a task's context with new support (retried, deadline
-    /// attached). Safe to retry: a duplicate extend after a lost reply
-    /// re-runs over support the context already retains, which is
-    /// idempotent in the labels it can predict (the revision may advance
+    /// Grows `(tenant, task)` with newly arrived support (incremental
+    /// online adaptation); returns the context's new revision plus how it
+    /// was produced (`extended`, or `cold` when the key was unknown and a
+    /// full adapt ran instead). Safe to retry: a duplicate extend after a
+    /// lost reply re-runs over support the context already retains, which
+    /// is idempotent in the labels it can predict (the revision may advance
     /// twice).
     pub fn extend(
         &mut self,
@@ -477,17 +364,18 @@ impl RetryClient {
         }
     }
 
-    /// Predicts under an already-adapted task (retried, deadline attached).
+    /// Predicts tags for query sentences under an already-adapted task.
     pub fn predict(
         &mut self,
         tenant: &str,
         task: &str,
         sentences: &[Vec<String>],
     ) -> Result<Vec<Vec<String>>> {
-        self.predict_req(tenant, task, sentences, None)
+        self.predict_req(tenant, task, sentences, None, None)
     }
 
-    /// Predicts with an inline support set (retried, deadline attached).
+    /// Predicts with an inline support set (adapt-on-miss in one round
+    /// trip).
     pub fn predict_with_support(
         &mut self,
         tenant: &str,
@@ -496,7 +384,7 @@ impl RetryClient {
         ways: usize,
         support: Vec<SupportSentence>,
     ) -> Result<Vec<Vec<String>>> {
-        self.predict_req(tenant, task, sentences, Some((ways, support)))
+        self.predict_req(tenant, task, sentences, Some(ways), Some(support))
     }
 
     fn predict_req(
@@ -504,12 +392,9 @@ impl RetryClient {
         tenant: &str,
         task: &str,
         sentences: &[Vec<String>],
-        inline: Option<(usize, Vec<SupportSentence>)>,
+        ways: Option<usize>,
+        support: Option<Vec<SupportSentence>>,
     ) -> Result<Vec<Vec<String>>> {
-        let (ways, support) = match inline {
-            Some((w, s)) => (Some(w), Some(s)),
-            None => (None, None),
-        };
         let req = Request::Predict {
             tenant: tenant.to_string(),
             task: task.to_string(),
@@ -524,7 +409,7 @@ impl RetryClient {
         }
     }
 
-    /// Counter snapshot (retried).
+    /// Counter snapshot (cache + queue), sorted by name.
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>> {
         match self.request_ok(&Request::Stats)? {
             Response::Stats { counters } => Ok(counters),
@@ -532,14 +417,19 @@ impl RetryClient {
         }
     }
 
-    /// Requests an orderly shutdown. If a retry finds the accept loop
-    /// already closed, the resulting connect error is surfaced as-is.
+    /// Requests an orderly shutdown of the daemon. If a retry finds the
+    /// accept loop already closed, the resulting connect error is surfaced
+    /// as-is.
     pub fn shutdown(&mut self) -> Result<()> {
         match self.request_ok(&Request::Shutdown)? {
             Response::ShuttingDown => Ok(()),
             other => Err(unexpected("shutdown ack", &other)),
         }
     }
+}
+
+fn unexpected(wanted: &str, got: &Response) -> Error {
+    Error::Serde(format!("expected {wanted}, got {:?}", got))
 }
 
 #[cfg(test)]
@@ -557,11 +447,20 @@ mod tests {
     }
 
     #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let mut a = Rng::new(42);
-        let mut b = Rng::new(42);
-        for _ in 0..8 {
-            assert_eq!(a.uniform(0.5, 1.5).to_bits(), b.uniform(0.5, 1.5).to_bits());
+    fn same_seed_clients_back_off_identically() {
+        let policy = RetryPolicy::new().backoff_ms(10, 200).seed(42);
+        let mut a = Client::new("127.0.0.1:1", policy.clone());
+        let mut b = Client::new("127.0.0.1:1", policy);
+        for attempt in 1..=8 {
+            let delay = a.backoff(attempt);
+            assert_eq!(delay, b.backoff(attempt), "attempt {attempt}");
+            // ±50% jitter around the capped exponential.
+            let capped = (10u64 << (attempt - 1)).min(200);
+            let ms = delay.as_millis() as u64;
+            assert!(
+                ms >= capped / 2 && ms <= capped * 3 / 2,
+                "attempt {attempt}: {ms} ms outside the jitter band of {capped} ms"
+            );
         }
     }
 }

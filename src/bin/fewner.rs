@@ -27,7 +27,7 @@ use fewner::cli::{
     backbone, build_encoder, flag, meta, parse_args, profile, split_counts, split_for, weights,
     USAGE,
 };
-use fewner::core::Checkpoint;
+use fewner::core::{Checkpoint, TrainSource};
 use fewner::corpus::CorpusSource;
 use fewner::prelude::*;
 use fewner::tensor::WeightFormat;
@@ -185,26 +185,7 @@ fn cmd_train(flags: &HashMap<String, String>) -> fewner::Result<()> {
             split.train.len(),
             split.train.types.len()
         );
-        let log = match resume_dir {
-            Some(dir) => {
-                println!("resuming from the newest valid snapshot in {dir}/…");
-                fewner::core::Trainer::new().resume(
-                    &mut learner,
-                    &split.train,
-                    &enc,
-                    &cfg,
-                    &schedule,
-                    dir,
-                )?
-            }
-            None => fewner::core::Trainer::new().train(
-                &mut learner,
-                &split.train,
-                &enc,
-                &cfg,
-                &schedule,
-            )?,
-        };
+        let log = train_or_resume(flags, &mut learner, &split.train, &enc, &cfg, &schedule)?;
         (learner, log)
     };
     println!(
@@ -268,27 +249,28 @@ fn train_streaming(
          chunks; window {window}, stride {stride})…",
         p.name,
     );
-    let log = match flags.get("resume") {
+    let log = train_or_resume(flags, &mut learner, &mut source, &enc, cfg, schedule)?;
+    Ok((learner, log))
+}
+
+/// Meta-trains `learner` on `source`, or continues from the newest valid
+/// snapshot under `--resume`.
+fn train_or_resume<'s>(
+    flags: &HashMap<String, String>,
+    learner: &mut Fewner,
+    source: impl Into<TrainSource<'s>>,
+    enc: &TokenEncoder,
+    cfg: &MetaConfig,
+    schedule: &TrainConfig,
+) -> fewner::Result<TrainingLog> {
+    let trainer = Trainer::new();
+    match flags.get("resume") {
         Some(dir) => {
             println!("resuming from the newest valid snapshot in {dir}/…");
-            fewner::core::Trainer::new().resume_stream(
-                &mut learner,
-                &mut source,
-                &enc,
-                cfg,
-                schedule,
-                dir,
-            )?
+            trainer.resume(learner, source, enc, cfg, schedule, dir)
         }
-        None => fewner::core::Trainer::new().train_stream(
-            &mut learner,
-            &mut source,
-            &enc,
-            cfg,
-            schedule,
-        )?,
-    };
-    Ok((learner, log))
+        None => trainer.train(learner, source, enc, cfg, schedule),
+    }
 }
 
 /// Single-machine sharded-training driver: binds the coordinator on an
