@@ -196,13 +196,14 @@ pub struct Checkpoint {
     /// θ_Meta tensors (always held dequantized in memory).
     pub theta: SavedParams,
     /// The format θ is serialised in (`F32` = plain `"theta"` tensors;
-    /// `F16`/`I8` write a compressed `"theta_q"` payload instead). The
-    /// layout is self-describing, so the version number is unchanged.
+    /// `F16`/`I8` write a compressed `"theta_q"` payload instead).
     pub weights: WeightFormat,
 }
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 2 stores every tensor as hex
+/// bit patterns ([`fewner_util::hex`]); files of any other version are
+/// rejected with an explicit error, never migrated.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 impl Checkpoint {
     /// Captures a trained learner.
@@ -294,6 +295,14 @@ impl ToJson for Checkpoint {
 
 impl FromJson for Checkpoint {
     fn from_json(json: &Json) -> Result<Checkpoint> {
+        // Checked before any tensor is parsed, so an old file names its
+        // version instead of failing on a tensor field.
+        let version = json.field("version")?.as_u64()?;
+        if version != CHECKPOINT_VERSION as u64 {
+            return Err(Error::Serde(format!(
+                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+            )));
+        }
         let (theta, weights) = match json.get("theta_q") {
             Some(q) => {
                 let q = QuantizedParams::from_json(q)?;
@@ -305,7 +314,7 @@ impl FromJson for Checkpoint {
             ),
         };
         Ok(Checkpoint {
-            version: json.field("version")?.as_u64()? as u32,
+            version: CHECKPOINT_VERSION,
             backbone: SavedBackboneConfig::from_json(json.field("backbone")?)?,
             meta: MetaConfig::from_json(json.field("meta")?)?,
             theta,
@@ -413,15 +422,44 @@ mod tests {
 
     #[test]
     fn quantized_payload_is_smaller_than_f32() {
+        // Fixed-width hex makes the payload sizes exact: 8 digits per f32,
+        // 4 per f16 word, 2 per i8 value.
         let (_, learner) = setup();
         let ckpt = Checkpoint::capture(&learner);
-        let f32_len = ckpt.to_json().to_string().len();
-        for format in [WeightFormat::F16, WeightFormat::I8] {
+        let f32_doc = ckpt.to_json();
+        let f32_len = f32_doc.to_string().len();
+        let payload = |v: &Json, key: &str| v.field(key).unwrap().as_str().unwrap().len();
+        let f32_entries = f32_doc.field("theta").unwrap().as_arr().unwrap();
+        for (format, key, ratio) in [
+            (WeightFormat::F16, "bits", 2),
+            (WeightFormat::I8, "values", 4),
+        ] {
             let mut q = ckpt.clone();
             q.quantize_weights(format);
-            let q_len = q.to_json().to_string().len();
+            let q_doc = q.to_json();
+            let q_entries = q_doc
+                .field("theta_q")
+                .unwrap()
+                .field("entries")
+                .unwrap()
+                .as_arr()
+                .unwrap();
+            assert_eq!(q_entries.len(), f32_entries.len());
+            for (fe, qe) in f32_entries.iter().zip(q_entries) {
+                let name = fe.field("name").unwrap().as_str().unwrap();
+                assert_eq!(qe.field("name").unwrap().as_str().unwrap(), name);
+                let full = payload(fe.field("value").unwrap(), "bits");
+                assert!(full > 0, "`{name}` is empty");
+                assert_eq!(
+                    payload(qe.field("value").unwrap(), key) * ratio,
+                    full,
+                    "`{name}`: {} payload must be exactly 1/{ratio} of f32",
+                    format.name()
+                );
+            }
+            let q_len = q_doc.to_string().len();
             assert!(
-                q_len < f32_len / 2,
+                q_len < f32_len,
                 "{}: {q_len} bytes vs {f32_len} f32 bytes",
                 format.name()
             );
@@ -460,6 +498,36 @@ mod tests {
             Err(Error::Io { path, .. }) => assert!(path.contains("model.json")),
             other => panic!("expected Io error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn version_1_files_are_rejected_before_tensors_are_parsed() {
+        let (_, learner) = setup();
+        let dir = std::env::temp_dir().join(format!("fewner-ckpt-v1-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.json");
+        let mut doc = Checkpoint::capture(&learner).to_json();
+        if let Json::Obj(fields) = &mut doc {
+            fields[0].1 = Json::from(1u64);
+            // The old layout wrote tensors as decimal numbers.
+            let old_tensor = Json::Obj(vec![
+                ("rows".into(), Json::from(1usize)),
+                ("cols".into(), Json::from(1usize)),
+                ("data".into(), Json::Arr(vec![Json::from(0.5f32)])),
+            ]);
+            fields.last_mut().unwrap().1 = Json::Arr(vec![Json::Obj(vec![
+                ("name".into(), Json::from("w")),
+                ("value".into(), old_tensor),
+            ])]);
+        }
+        fewner_util::durable::write_atomic(&path, doc.to_string().as_bytes()).unwrap();
+        match Checkpoint::load(&path) {
+            Err(Error::Serde(msg)) => {
+                assert!(msg.contains("unsupported checkpoint version 1"), "{msg}")
+            }
+            other => panic!("version-1 checkpoint loaded: {other:?}"),
+        }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

@@ -158,13 +158,10 @@ impl ServeOptions {
     }
 }
 
-/// Format version of persisted adapted contexts. Version 2 added the
-/// `revision` counter and the retained support set behind incremental
-/// [`Fewner::extend`]; version-1 files still load (empty retained support,
-/// revision 1).
-///
-/// [`Fewner::extend`]: crate::Fewner::extend
-pub const ADAPTED_CTX_VERSION: u32 = 2;
+/// Format version of persisted adapted contexts. Version 3 stores φ as
+/// hex bit patterns ([`fewner_util::hex`]); files of any other version are
+/// rejected, and a serving cache that meets one re-adapts instead.
+pub const ADAPTED_CTX_VERSION: u32 = 3;
 
 /// An adapted task context: the φ produced by the inner loop, packaged as a
 /// first-class value.
@@ -222,9 +219,7 @@ impl AdaptedCtx {
     }
 
     /// The encoded support set the current φ was adapted on (merged across
-    /// every extension). Version-1 files reload with this empty — such a
-    /// context still predicts bitwise-identically, but an extension starts
-    /// its merged support from the new arrivals alone.
+    /// every extension).
     pub fn support(&self) -> &[LabeledSentence] {
         &self.support
     }
@@ -262,38 +257,32 @@ impl AdaptedCtx {
 
     /// Deserialises a context written by [`AdaptedCtx::to_json`]. The φ
     /// values round-trip bitwise; shape compatibility with a particular
-    /// model is checked at [`Fewner::predict`] time, not here. Version-1
-    /// files (no revision, no retained support) load as revision 1 with an
-    /// empty support set.
+    /// model is checked at [`Fewner::predict`] time, not here. Any version
+    /// but [`ADAPTED_CTX_VERSION`] is an [`Error::Serde`].
     pub fn from_json(json: &Json) -> Result<AdaptedCtx> {
-        let version = json.field("version")?.as_u64()? as u32;
-        if version == 0 || version > ADAPTED_CTX_VERSION {
+        let version = json.field("version")?.as_u64()?;
+        if version != ADAPTED_CTX_VERSION as u64 {
             return Err(Error::Serde(format!(
-                "unsupported adapted-context version {version} (expected 1..={ADAPTED_CTX_VERSION})"
+                "unsupported adapted-context version {version} (expected {ADAPTED_CTX_VERSION})"
             )));
         }
         let n_ways = json.field("n_ways")?.as_usize()?;
         if n_ways == 0 {
             return Err(Error::Serde("adapted context with 0 ways".into()));
         }
+        let revision = json.field("revision")?.as_u64()? as u32;
+        if revision == 0 {
+            return Err(Error::Serde("adapted context with revision 0".into()));
+        }
         let phi = Array::from_json(json.field("phi")?)?;
         let mut phi_store = ParamStore::new();
         let phi_id = phi_store.add("phi", phi);
-        let (revision, support) = if version >= 2 {
-            let revision = json.field("revision")?.as_u64()? as u32;
-            if revision == 0 {
-                return Err(Error::Serde("adapted context with revision 0".into()));
-            }
-            let support = json
-                .field("support")?
-                .as_arr()?
-                .iter()
-                .map(labeled_from_json)
-                .collect::<Result<Vec<_>>>()?;
-            (revision, support)
-        } else {
-            (1, Vec::new())
-        };
+        let support = json
+            .field("support")?
+            .as_arr()?
+            .iter()
+            .map(labeled_from_json)
+            .collect::<Result<Vec<_>>>()?;
         Ok(AdaptedCtx {
             n_ways,
             phi_store,
@@ -416,19 +405,42 @@ mod tests {
     }
 
     #[test]
-    fn version_1_contexts_still_load() {
+    fn older_context_versions_are_rejected() {
         let mut store = ParamStore::new();
         let id = store.add("phi", Array::from_vec(1, 3, vec![1.0, 2.0, 3.0]));
+        let ctx = AdaptedCtx::new(2, store, id, vec![sentence(vec![3], vec![1])], 2);
+        for old in 1..ADAPTED_CTX_VERSION {
+            let mut json = ctx.to_json();
+            if let Json::Obj(fields) = &mut json {
+                fields[0].1 = Json::from(old as u64);
+            }
+            match AdaptedCtx::from_json(&json) {
+                Err(Error::Serde(msg)) => assert!(
+                    msg.contains(&format!("unsupported adapted-context version {old}")),
+                    "{msg}"
+                ),
+                other => panic!("version {old} accepted: {other:?}"),
+            }
+        }
+        // A version-1 file (numeric φ, no revision, no support) names its
+        // version rather than failing on the missing fields.
         let v1 = Json::Obj(vec![
             ("version".into(), Json::from(1u64)),
             ("n_ways".into(), Json::from(2usize)),
-            ("phi".into(), store.value(id).to_json()),
+            (
+                "phi".into(),
+                Json::Obj(vec![
+                    ("rows".into(), Json::from(1usize)),
+                    ("cols".into(), Json::from(1usize)),
+                    ("data".into(), Json::Arr(vec![Json::from(1.0f32)])),
+                ]),
+            ),
         ]);
-        let ctx = AdaptedCtx::from_json(&v1).unwrap();
-        assert_eq!(ctx.n_ways(), 2);
-        assert_eq!(ctx.phi_values(), &[1.0, 2.0, 3.0]);
-        assert_eq!(ctx.revision(), 1, "v1 contexts report revision 1");
-        assert!(ctx.support().is_empty(), "v1 retained no support");
+        let err = AdaptedCtx::from_json(&v1).unwrap_err().to_string();
+        assert!(
+            err.contains("unsupported adapted-context version 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! 3. every worker applies the identical broadcast bytes to its replica
 //!    of θ.
 //!
-//! Because f32 values cross the wire bit-exactly (see
-//! [`fewner_util::json`]) and the reduction shape is fixed, the final
-//! checkpoint is byte-identical to a serial or threaded run of the same
-//! schedule.
+//! Because f32 values cross the wire bit-exactly (gradients as hex bit
+//! patterns, see [`fewner_util::hex`]) and the reduction shape is fixed,
+//! the final checkpoint is byte-identical to a serial or threaded run of
+//! the same schedule.
 //!
 //! # Fault tolerance
 //!

@@ -20,8 +20,11 @@ use std::path::{Path, PathBuf};
 use fewner_corpus::StreamCursor;
 use fewner_util::{durable, Error, FromJson, Json, Result, Rng, ToJson};
 
-/// Snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Snapshot format version. Version 2 stores every tensor (θ, the
+/// optimizer moments) as hex bit patterns ([`fewner_util::hex`]), so any
+/// value a run can reach — ±∞ and NaN included — resumes bit-exactly.
+/// Files of any other version are rejected, never migrated.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// File extension of training snapshots.
 pub const SNAPSHOT_EXT: &str = "fsnap";
@@ -221,8 +224,14 @@ impl ToJson for TrainingSnapshot {
 
 impl FromJson for TrainingSnapshot {
     fn from_json(json: &Json) -> Result<TrainingSnapshot> {
+        let version = json.field("version")?.as_u64()?;
+        if version != SNAPSHOT_VERSION as u64 {
+            return Err(Error::Serde(format!(
+                "unsupported snapshot version {version} (expected {SNAPSHOT_VERSION})"
+            )));
+        }
         Ok(TrainingSnapshot {
-            version: json.field("version")?.as_u64()? as u32,
+            version: SNAPSHOT_VERSION,
             iteration: json.field("iteration")?.as_usize()?,
             sampler_rng: Rng::from_json(json.field("sampler_rng")?)?,
             losses: json
@@ -253,16 +262,8 @@ impl FromJson for TrainingSnapshot {
 impl TrainingSnapshot {
     /// Loads and verifies one snapshot file (header, CRC, format version).
     pub fn load(path: impl AsRef<Path>) -> Result<TrainingSnapshot> {
-        let path = path.as_ref();
         let json = durable::read_verified_string(path)?;
-        let snap = TrainingSnapshot::from_json(&Json::parse(&json)?)?;
-        if snap.version != SNAPSHOT_VERSION {
-            return Err(Error::Serde(format!(
-                "unsupported snapshot version {} (expected {SNAPSHOT_VERSION})",
-                snap.version
-            )));
-        }
-        Ok(snap)
+        TrainingSnapshot::from_json(&Json::parse(&json)?)
     }
 
     /// Writes this snapshot durably to `path`.
@@ -479,6 +480,78 @@ mod tests {
         assert_eq!(back.fingerprint, snap.fingerprint);
         assert_eq!(back.next_decay, 5000);
         assert_eq!(back.wall_secs, 12.25);
+    }
+
+    #[test]
+    fn non_finite_and_edge_moments_survive_a_snapshot_file_bit_exactly() {
+        use fewner_tensor::{Array, SavedAdam};
+        let edge = vec![
+            f32::INFINITY,
+            f32::from_bits(0x7fc0_0bad), // NaN with a payload
+            f32::NEG_INFINITY,
+            -0.0,
+            f32::from_bits(0x0000_0001), // smallest subnormal
+            -f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            1.0 / 3.0,
+        ];
+        let adam = SavedAdam {
+            lr: 1e-3,
+            t: 7,
+            m: vec![
+                Some(Array::from_vec(2, 4, edge.iter().rev().copied().collect())),
+                None,
+            ],
+            v: vec![Some(Array::from_vec(4, 2, edge.clone())), None],
+        };
+        let mut snap = sample(5);
+        snap.learner = Json::Obj(vec![("opt".into(), adam.to_json())]);
+        let dir = tmp_dir("edge");
+        let path = save_rolling(&dir, &snap).unwrap();
+        let back = TrainingSnapshot::load(&path).unwrap();
+        let back = SavedAdam::from_json(back.learner.field("opt").unwrap()).unwrap();
+        let bits = |m: &[Option<Array>]| -> Vec<Vec<u32>> {
+            m.iter()
+                .map(|a| {
+                    a.iter()
+                        .flat_map(|a| a.data())
+                        .map(|x| x.to_bits())
+                        .collect()
+                })
+                .collect()
+        };
+        assert_eq!(bits(&back.v), bits(&adam.v), "second moments");
+        assert_eq!(bits(&back.m), bits(&adam.m), "first moments");
+        assert_eq!(back.v[0].as_ref().unwrap().shape(), (4, 2));
+        assert_eq!((back.lr, back.t), (adam.lr, adam.t));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn version_1_snapshots_are_rejected_by_version() {
+        let dir = tmp_dir("v1");
+        let mut v1 = sample(3).to_json();
+        if let Json::Obj(fields) = &mut v1 {
+            fields[0].1 = Json::from(1u64);
+            // The old layout wrote tensors as decimal numbers.
+            let old_tensor = Json::Obj(vec![
+                ("rows".into(), Json::from(1usize)),
+                ("cols".into(), Json::from(1usize)),
+                ("data".into(), Json::Arr(vec![Json::from(0.5f32)])),
+            ]);
+            fields.last_mut().unwrap().1 = Json::Obj(vec![("theta".into(), old_tensor)]);
+        }
+        let path = snapshot_path(&dir, None, 3);
+        durable::write_atomic(&path, v1.to_string().as_bytes()).unwrap();
+        match TrainingSnapshot::load(&path) {
+            Err(Error::Serde(msg)) => {
+                assert!(msg.contains("unsupported snapshot version 1"), "{msg}")
+            }
+            other => panic!("version-1 snapshot loaded: {other:?}"),
+        }
+        // A directory holding only old snapshots cannot be resumed.
+        assert!(matches!(latest_valid(&dir, None), Err(Error::Serde(_))));
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]

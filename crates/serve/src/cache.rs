@@ -594,8 +594,10 @@ impl PhiCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fewner_core::serve::ADAPTED_CTX_VERSION;
+    use fewner_obs::MemorySink;
     use fewner_tensor::{Array, ParamStore};
-    use fewner_util::ToJson;
+    use fewner_util::{Json, ToJson};
 
     fn ctx(seed: f32) -> AdaptedCtx {
         let mut store = ParamStore::new();
@@ -603,10 +605,12 @@ mod tests {
             "phi",
             Array::from_vec(1, 3, vec![seed, seed + 1.0, seed + 2.0]),
         );
-        let json = fewner_util::Json::Obj(vec![
-            ("version".into(), fewner_util::Json::from(1u64)),
-            ("n_ways".into(), fewner_util::Json::from(2usize)),
+        let json = Json::Obj(vec![
+            ("version".into(), Json::from(ADAPTED_CTX_VERSION as u64)),
+            ("n_ways".into(), Json::from(2usize)),
+            ("revision".into(), Json::from(1u64)),
             ("phi".into(), store.value(id).to_json()),
+            ("support".into(), Json::Arr(Vec::new())),
         ]);
         AdaptedCtx::from_json(&json).unwrap()
     }
@@ -736,6 +740,72 @@ mod tests {
         let after = std::fs::read(&path).unwrap();
         assert_ne!(before, after, "the newer revision must land on disk");
         assert_eq!(cache.stats().persists, 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn an_old_format_phi_file_is_re_adapted_after_a_restart() {
+        let dir = std::env::temp_dir().join(format!("fewner-cache-oldphi-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let k = key("x");
+        // What a daemon of the previous format left behind: a version-2
+        // context with φ written as decimal numbers.
+        let old = Json::Obj(vec![
+            ("version".into(), Json::from(2u64)),
+            ("n_ways".into(), Json::from(2usize)),
+            ("revision".into(), Json::from(1u64)),
+            (
+                "phi".into(),
+                Json::Obj(vec![
+                    ("rows".into(), Json::from(1usize)),
+                    ("cols".into(), Json::from(3usize)),
+                    ("data".into(), Json::from(vec![1.0f32, 2.0, 3.0])),
+                ]),
+            ),
+            ("support".into(), Json::Arr(Vec::new())),
+        ]);
+        let path = dir.join(PhiCache::file_name(&k));
+        fewner_util::durable::write_atomic(&path, old.to_string().as_bytes()).unwrap();
+
+        let sink = MemorySink::new();
+        let tracer = Tracer::new(MonotonicClock::new(), sink.clone());
+        let cache = PhiCache::new(CachePolicy::lru(4).persist_dir(&dir), tracer.clone()).unwrap();
+        let mut adapts = 0;
+        let (got, l) = cache
+            .get_or_adapt(&k, || {
+                adapts += 1;
+                Ok(ctx(5.0))
+            })
+            .expect("an unreadable φ file must not fail the request");
+        assert_eq!(
+            (l, adapts),
+            (Lookup::Cold, 1),
+            "falls back to a fresh adapt"
+        );
+        assert_eq!(got.phi_values(), ctx(5.0).phi_values());
+        assert_eq!(cache.stats().reloads, 0);
+
+        tracer.flush().unwrap();
+        let warm: Vec<Json> = sink
+            .text()
+            .lines()
+            .map(|line| Json::parse(line).unwrap())
+            .filter(|r| {
+                let s = |f: &str| r.get(f).and_then(|v| v.as_str().ok());
+                s("t") == Some("span") && s("name") == Some("serve/adapt_warm")
+            })
+            .collect();
+        assert_eq!(warm.len(), 1, "one reload attempt");
+        let err = warm[0].field("reload_error").unwrap().as_str().unwrap();
+        assert!(
+            err.contains("unsupported adapted-context version 2"),
+            "{err}"
+        );
+
+        // The fresh context replaced the old file on disk.
+        let reloaded = AdaptedCtx::load(&path).unwrap();
+        assert_eq!(reloaded.phi_values(), got.phi_values());
         std::fs::remove_dir_all(&dir).ok();
     }
 

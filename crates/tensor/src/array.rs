@@ -10,8 +10,8 @@
 //! [`Array`] is the *value* type; the computation graph in
 //! [`crate::graph`] wraps it with gradient bookkeeping.
 
+use fewner_util::{hex, FromJson, Json, ToJson};
 use fewner_util::{Error, Result, Rng};
-use fewner_util::{FromJson, Json, ToJson};
 
 /// A dense, row-major `rows × cols` matrix of `f32`.
 #[derive(Debug, Clone, PartialEq)]
@@ -21,15 +21,15 @@ pub struct Array {
     data: Vec<f32>,
 }
 
+/// `{"rows": r, "cols": c, "bits": "…"}`: the values' exact `f32` bit
+/// patterns, 8 lowercase hex digits each, row-major ([`fewner_util::hex`]).
+/// Every pattern round-trips, including NaN payloads, ±∞ and `-0.0`.
 impl ToJson for Array {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
             ("rows".into(), Json::from(self.rows)),
             ("cols".into(), Json::from(self.cols)),
-            (
-                "data".into(),
-                Json::Arr(self.data.iter().map(|&x| Json::from(x)).collect()),
-            ),
+            ("bits".into(), Json::Str(hex::encode(&self.data))),
         ])
     }
 }
@@ -38,13 +38,8 @@ impl FromJson for Array {
     fn from_json(json: &Json) -> Result<Array> {
         let rows = json.field("rows")?.as_usize()?;
         let cols = json.field("cols")?.as_usize()?;
-        let data = json
-            .field("data")?
-            .as_arr()?
-            .iter()
-            .map(Json::as_f32)
-            .collect::<Result<Vec<f32>>>()?;
-        if data.len() != rows * cols {
+        let data: Vec<f32> = hex::decode(json.field("bits")?.as_str()?)?;
+        if Some(data.len()) != rows.checked_mul(cols) {
             return Err(Error::Serde(format!(
                 "Array JSON holds {} values for shape [{rows}, {cols}]",
                 data.len()
@@ -427,10 +422,68 @@ mod tests {
     #[test]
     fn json_round_trip() {
         let mut rng = Rng::new(10);
-        let a = Array::uniform(3, 4, -2.0, 2.0, &mut rng);
-        let json = a.to_json().to_string();
-        let back = Array::from_json(&Json::parse(&json).unwrap()).unwrap();
-        assert_eq!(a, back);
+        let uniform = Array::uniform(3, 4, -2.0, 2.0, &mut rng);
+        // Every bit pattern survives, including the values decimal JSON
+        // cannot hold (NaN payloads, ±∞) or easily loses (-0.0).
+        let special = Array::from_vec(
+            3,
+            4,
+            vec![
+                f32::NAN,
+                f32::from_bits(0x7fc0_beef),
+                f32::from_bits(0xffa0_0001),
+                f32::INFINITY,
+                f32::NEG_INFINITY,
+                -0.0,
+                0.0,
+                f32::MIN_POSITIVE,
+                f32::from_bits(1),
+                -f32::from_bits(0x007f_ffff),
+                f32::MAX,
+                f32::MIN,
+            ],
+        );
+        let bits = |a: &Array| a.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for a in [uniform, special] {
+            let json = a.to_json().to_string();
+            let back = Array::from_json(&Json::parse(&json).unwrap()).unwrap();
+            assert_eq!(back.shape(), a.shape());
+            assert_eq!(bits(&back), bits(&a));
+        }
+    }
+
+    #[test]
+    fn malformed_hex_tensors_are_serde_errors() {
+        let doc = |rows: usize, cols: usize, bits: &str| {
+            Json::Obj(vec![
+                ("rows".into(), Json::from(rows)),
+                ("cols".into(), Json::from(cols)),
+                ("bits".into(), Json::from(bits)),
+            ])
+        };
+        let one = "3f800000";
+        for bad in [
+            doc(1, 1, "3f80000"),       // not a multiple of 8 digits
+            doc(1, 1, "3f8000000"),     // ditto, one too many
+            doc(1, 1, "3f80000x"),      // non-hex digit
+            doc(1, 1, "3F800000"),      // uppercase
+            doc(1, 1, "3f80 000"),      // a space
+            doc(1, 1, "3f8000é"),       // non-ASCII (8 bytes)
+            doc(1, 2, one),             // too few values for the shape
+            doc(1, 1, &one.repeat(2)),  // too many
+            doc(1 << 40, 1 << 40, one), // shape overflows usize
+        ] {
+            assert!(
+                matches!(Array::from_json(&bad), Err(Error::Serde(_))),
+                "{bad} accepted"
+            );
+        }
+        let numbers = Json::Obj(vec![
+            ("rows".into(), Json::from(1usize)),
+            ("cols".into(), Json::from(1usize)),
+            ("data".into(), Json::Arr(vec![Json::from(1.0f32)])),
+        ]);
+        assert!(matches!(Array::from_json(&numbers), Err(Error::Serde(_))));
     }
 
     #[test]

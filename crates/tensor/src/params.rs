@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use fewner_util::{Error, FromJson, Json, Result, ToJson};
+use fewner_util::{hex, Error, FromJson, Json, Result, ToJson};
 
 use crate::array::Array;
 
@@ -557,6 +557,9 @@ impl QuantArray {
     }
 }
 
+/// Payloads are fixed-width lowercase hex ([`fewner_util::hex`]): 4 digits
+/// per f16 word, 2 per i8 value (two's complement) and 8 per i8 row scale
+/// (its f32 bits).
 impl ToJson for QuantArray {
     fn to_json(&self) -> Json {
         match self {
@@ -564,10 +567,7 @@ impl ToJson for QuantArray {
                 ("kind".into(), Json::from("f16")),
                 ("rows".into(), Json::from(*rows)),
                 ("cols".into(), Json::from(*cols)),
-                (
-                    "bits".into(),
-                    Json::Arr(bits.iter().map(|&b| Json::from(b as u64)).collect()),
-                ),
+                ("bits".into(), Json::Str(hex::encode(bits))),
             ]),
             QuantArray::I8 {
                 rows,
@@ -578,14 +578,8 @@ impl ToJson for QuantArray {
                 ("kind".into(), Json::from("i8")),
                 ("rows".into(), Json::from(*rows)),
                 ("cols".into(), Json::from(*cols)),
-                (
-                    "scales".into(),
-                    Json::Arr(scales.iter().map(|&s| Json::from(s)).collect()),
-                ),
-                (
-                    "values".into(),
-                    Json::Arr(values.iter().map(|&q| Json::from(q as i64)).collect()),
-                ),
+                ("scales".into(), Json::Str(hex::encode(scales))),
+                ("values".into(), Json::Str(hex::encode(values))),
             ]),
         }
     }
@@ -596,7 +590,7 @@ impl FromJson for QuantArray {
         let rows = json.field("rows")?.as_usize()?;
         let cols = json.field("cols")?.as_usize()?;
         let check = |n: usize, what: &str| -> Result<()> {
-            if n != rows * cols {
+            if Some(n) != rows.checked_mul(cols) {
                 return Err(Error::Serde(format!(
                     "QuantArray holds {n} {what} for shape [{rows}, {cols}]"
                 )));
@@ -605,40 +599,24 @@ impl FromJson for QuantArray {
         };
         match json.field("kind")?.as_str()? {
             "f16" => {
-                let bits = json
-                    .field("bits")?
-                    .as_arr()?
-                    .iter()
-                    .map(|b| Ok(b.as_u64()? as u16))
-                    .collect::<Result<Vec<u16>>>()?;
+                let bits: Vec<u16> = hex::decode(json.field("bits")?.as_str()?)?;
                 check(bits.len(), "f16 words")?;
                 Ok(QuantArray::F16 { rows, cols, bits })
             }
             "i8" => {
-                let scales = json
-                    .field("scales")?
-                    .as_arr()?
-                    .iter()
-                    .map(Json::as_f32)
-                    .collect::<Result<Vec<f32>>>()?;
+                let scales: Vec<f32> = hex::decode(json.field("scales")?.as_str()?)?;
                 if scales.len() != rows {
                     return Err(Error::Serde(format!(
                         "QuantArray holds {} scales for {rows} rows",
                         scales.len()
                     )));
                 }
-                let values = json
-                    .field("values")?
-                    .as_arr()?
-                    .iter()
-                    .map(|q| {
-                        let v = q.as_f32()?;
-                        if !(-127.0..=127.0).contains(&v) || v.fract() != 0.0 {
-                            return Err(Error::Serde(format!("bad i8 quant value {v}")));
-                        }
-                        Ok(v as i8)
-                    })
-                    .collect::<Result<Vec<i8>>>()?;
+                let values: Vec<i8> = hex::decode(json.field("values")?.as_str()?)?;
+                if values.contains(&i8::MIN) {
+                    return Err(Error::Serde(
+                        "i8 quant value -128 is outside [-127, 127]".into(),
+                    ));
+                }
                 check(values.len(), "i8 values")?;
                 Ok(QuantArray::I8 {
                     rows,
@@ -889,7 +867,8 @@ impl ParamGrads {
 /// Slots in order; an absent gradient is `null`. The store id is *not*
 /// serialised (it is meaningless outside this process) — deserialised
 /// accumulators carry id 0 until [`ParamGrads::retag`] rebinds them.
-/// `f32` values survive bit-exactly (see [`fewner_util::json`]).
+/// Gradients are stored as hex bit patterns, so every `f32` value survives
+/// exactly (see [`fewner_util::hex`]).
 impl ToJson for ParamGrads {
     fn to_json(&self) -> Json {
         Json::Arr(
@@ -1250,6 +1229,51 @@ mod tests {
             let text = q.to_json().to_string();
             let back = QuantizedParams::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back, q, "{} JSON round-trip", format.name());
+        }
+    }
+
+    #[test]
+    fn malformed_quantized_payloads_are_serde_errors() {
+        let f16 = |rows: usize, cols: usize, bits: &str| {
+            Json::Obj(vec![
+                ("kind".into(), Json::from("f16")),
+                ("rows".into(), Json::from(rows)),
+                ("cols".into(), Json::from(cols)),
+                ("bits".into(), Json::from(bits)),
+            ])
+        };
+        let i8 = |rows: usize, cols: usize, scales: &str, values: &str| {
+            Json::Obj(vec![
+                ("kind".into(), Json::from("i8")),
+                ("rows".into(), Json::from(rows)),
+                ("cols".into(), Json::from(cols)),
+                ("scales".into(), Json::from(scales)),
+                ("values".into(), Json::from(values)),
+            ])
+        };
+        let scale = "3c000000";
+        // The well-formed baselines load.
+        QuantArray::from_json(&f16(1, 2, "3c00bc00")).unwrap();
+        QuantArray::from_json(&i8(1, 2, scale, "7f81")).unwrap();
+        for bad in [
+            f16(1, 2, "3c00bc0"),        // not a multiple of 4 digits
+            f16(1, 2, "3c00bcz0"),       // non-hex digit
+            f16(1, 2, "3C00BC00"),       // uppercase
+            f16(1, 3, "3c00bc00"),       // too few words for the shape
+            f16(1, 1, "3c00bc00"),       // too many
+            i8(1, 2, scale, "7f8"),      // not a multiple of 2 digits
+            i8(1, 2, scale, "7fg1"),     // non-hex digit
+            i8(1, 2, scale, "7F81"),     // uppercase
+            i8(1, 2, scale, "7f"),       // too few values
+            i8(1, 2, scale, "7f8101"),   // too many
+            i8(1, 2, scale, "7f80"),     // -128 is outside [-127, 127]
+            i8(1, 2, "3c00000", "7f81"), // scale not a multiple of 8 digits
+            i8(2, 1, scale, "7f81"),     // one scale for two rows
+        ] {
+            assert!(
+                matches!(QuantArray::from_json(&bad), Err(Error::Serde(_))),
+                "{bad} accepted"
+            );
         }
     }
 

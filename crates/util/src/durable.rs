@@ -107,7 +107,7 @@ pub fn write_atomic(path: impl AsRef<Path>, payload: &[u8]) -> Result<()> {
 /// Reads `path`, verifies the header and CRC, and returns the payload.
 pub fn read_verified(path: impl AsRef<Path>) -> Result<Vec<u8>> {
     let path = path.as_ref();
-    let bytes = fs::read(path).map_err(|e| io_err(path, e))?;
+    let mut bytes = fs::read(path).map_err(|e| io_err(path, e))?;
     let newline = bytes
         .iter()
         .position(|&b| b == b'\n')
@@ -147,7 +147,9 @@ pub fn read_verified(path: impl AsRef<Path>) -> Result<Vec<u8>> {
             format!("CRC mismatch: stored {stored_crc:08x}, computed {computed:08x}"),
         ));
     }
-    Ok(payload.to_vec())
+    // Strip the header in place rather than copying the payload out.
+    bytes.drain(..=newline);
+    Ok(bytes)
 }
 
 /// [`read_verified`] for text payloads.

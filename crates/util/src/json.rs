@@ -11,10 +11,16 @@
 //!
 //! Numbers are stored as `f64` (JSON's native model); integers up to 2⁵³
 //! round-trip exactly, which covers every count and seed the project
-//! serialises. F32 tensors round-trip bit-exactly through the `f64`
-//! widening.
+//! serialises, and finite `f32` scalars round-trip bit-exactly through the
+//! `f64` widening. JSON has no ±∞ or NaN (they are written as `null`), so
+//! tensors are not stored as numbers at all: each one is a single string
+//! of fixed-width hex bit patterns ([`crate::hex`]), which round-trips
+//! every value exactly and keeps the tree at one node per tensor. Strings
+//! are written and parsed a run of plain characters at a time, so a
+//! multi-megabyte tensor string costs a few copies, not a per-character
+//! loop.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write};
 
 use crate::error::{Error, Result};
 
@@ -45,7 +51,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(Error::Serde(format!(
@@ -58,7 +64,7 @@ impl Json {
     /// Pretty rendering with two-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        write_value(self, &mut out, Some(2), 0);
+        write_value(self, &mut out, Some(2), 0).expect("writing to a String cannot fail");
         out
     }
 
@@ -128,12 +134,11 @@ impl Json {
     }
 }
 
-/// Compact single-line rendering (and `.to_string()` via [`ToString`]).
+/// Compact single-line rendering (and `.to_string()` via [`ToString`]),
+/// written straight into the formatter's buffer.
 impl std::fmt::Display for Json {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut out = String::new();
-        write_value(self, &mut out, None, 0);
-        f.write_str(&out)
+        write_value(self, f, None, 0)
     }
 }
 
@@ -249,7 +254,8 @@ fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<()> {
 /// inside even a conservative thread stack.
 pub const MAX_DEPTH: usize = 512;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json> {
+    let bytes = text.as_bytes();
     if depth > MAX_DEPTH {
         return Err(Error::Serde(format!(
             "JSON nesting deeper than {MAX_DEPTH} at byte {pos}"
@@ -261,7 +267,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
         Some(b'n') => expect(bytes, pos, "null").map(|_| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|_| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|_| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -271,7 +277,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -293,10 +299,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -313,60 +319,51 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String> {
+fn parse_string(text: &str, pos: &mut usize) -> Result<String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(Error::Serde(format!("expected `\"` at byte {pos}")));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err(Error::Serde("unterminated JSON string".into())),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| Error::Serde("truncated \\u escape".into()))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| Error::Serde("non-ASCII \\u escape".into()))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| Error::Serde(format!("bad \\u escape `{hex}`")))?;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    other => return Err(Error::Serde(format!("bad escape {other:?}"))),
-                }
-                *pos += 1;
-            }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
-            Some(_) => {
-                // Multi-byte UTF-8: copy the whole character.
-                let s = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| Error::Serde("invalid UTF-8 in JSON string".into()))?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one step. Both
+        // are ASCII, so the run ends on a character boundary of the
+        // (already valid UTF-8) input.
+        let run = find_byte(&bytes[*pos..], |b| b == b'"' || b == b'\\')
+            .ok_or_else(|| Error::Serde("unterminated JSON string".into()))?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or_else(|| Error::Serde("truncated \\u escape".into()))?;
+                let hex = std::str::from_utf8(hex)
+                    .map_err(|_| Error::Serde("non-ASCII \\u escape".into()))?;
+                let code = u32::from_str_radix(hex, 16)
+                    .map_err(|_| Error::Serde(format!("bad \\u escape `{hex}`")))?;
+                // Surrogate pairs are not produced by our writer; map lone
+                // surrogates to the replacement character.
+                out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
+                *pos += 4;
+            }
+            other => return Err(Error::Serde(format!("bad escape {other:?}"))),
+        }
+        *pos += 1;
     }
 }
 
@@ -385,87 +382,116 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64> {
         .map_err(|_| Error::Serde(format!("invalid JSON number `{text}`")))
 }
 
-fn write_value(value: &Json, out: &mut String, indent: Option<usize>, depth: usize) {
+fn write_value<W: Write>(
+    value: &Json,
+    out: &mut W,
+    indent: Option<usize>,
+    depth: usize,
+) -> fmt::Result {
     match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(true) => out.push_str("true"),
-        Json::Bool(false) => out.push_str("false"),
+        Json::Null => out.write_str("null"),
+        Json::Bool(true) => out.write_str("true"),
+        Json::Bool(false) => out.write_str("false"),
         Json::Num(n) => write_number(*n, out),
         Json::Str(s) => write_string(s, out),
         Json::Arr(items) => write_seq(out, indent, depth, ('[', ']'), items.len(), |out, i| {
             write_value(&items[i], out, indent, depth + 1)
         }),
         Json::Obj(fields) => write_seq(out, indent, depth, ('{', '}'), fields.len(), |out, i| {
-            write_string(&fields[i].0, out);
-            out.push(':');
+            write_string(&fields[i].0, out)?;
+            out.write_char(':')?;
             if indent.is_some() {
-                out.push(' ');
+                out.write_char(' ')?;
             }
             write_value(&fields[i].1, out, indent, depth + 1)
         }),
     }
 }
 
-fn write_seq(
-    out: &mut String,
+fn write_seq<W: Write>(
+    out: &mut W,
     indent: Option<usize>,
     depth: usize,
     brackets: (char, char),
     len: usize,
-    mut write_item: impl FnMut(&mut String, usize),
-) {
-    out.push(brackets.0);
+    mut write_item: impl FnMut(&mut W, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(brackets.0)?;
     for i in 0..len {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (depth + 1)));
+            write!(out, "\n{:1$}", "", width * (depth + 1))?;
         }
-        write_item(out, i);
+        write_item(out, i)?;
     }
     if len > 0 {
         if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * depth));
+            write!(out, "\n{:1$}", "", width * depth)?;
         }
     }
-    out.push(brackets.1);
+    out.write_char(brackets.1)
 }
 
-fn write_number(n: f64, out: &mut String) {
+fn write_number(n: f64, out: &mut impl Write) -> fmt::Result {
     if !n.is_finite() {
-        // JSON has no Inf/NaN; null is the conventional stand-in.
-        out.push_str("null");
+        // JSON has no Inf/NaN; null is the conventional stand-in. Tensors
+        // never come here: they are hex strings (see the module docs).
+        out.write_str("null")
     } else if n == 0.0 && n.is_sign_negative() {
         // The integer fast path below would erase the sign of -0.0, and
-        // gradients exchanged between shards must survive bit-exactly.
-        out.push_str("-0.0");
+        // f32 scalars (a shard's loss sum) must survive bit-exactly.
+        out.write_str("-0.0")
     } else if n == n.trunc() && n.abs() < (1u64 << 53) as f64 {
-        let _ = write!(out, "{}", n as i64);
+        write!(out, "{}", n as i64)
     } else {
         // Shortest round-trip representation (Rust's float Display).
-        let _ = write!(out, "{n}");
+        write!(out, "{n}")
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Bytes a JSON string must escape.
+fn needs_escape(b: u8) -> bool {
+    b < 0x20 || b == b'"' || b == b'\\'
+}
+
+/// Index of the first byte of `bytes` that satisfies `hit`. Each 32-byte
+/// block is tested without an early exit, which the compiler vectorizes,
+/// so a long run of plain bytes is scanned many bytes per cycle.
+fn find_byte(bytes: &[u8], hit: impl Fn(u8) -> bool + Copy) -> Option<usize> {
+    let mut offset = 0;
+    for block in bytes.chunks(32) {
+        if block.iter().fold(false, |any, &b| any | hit(b)) {
+            return block.iter().position(|&b| hit(b)).map(|i| offset + i);
         }
+        offset += block.len();
     }
-    out.push('"');
+    None
+}
+
+fn write_string(s: &str, out: &mut impl Write) -> fmt::Result {
+    out.write_char('"')?;
+    // Copy each run of characters that need no escape in one step. Every
+    // escaped character is ASCII, so the cut points are character
+    // boundaries.
+    let bytes = s.as_bytes();
+    let mut start = 0;
+    while let Some(run) = find_byte(&bytes[start..], needs_escape) {
+        let i = start + run;
+        out.write_str(&s[start..i])?;
+        match bytes[i] {
+            b'"' => out.write_str("\\\"")?,
+            b'\\' => out.write_str("\\\\")?,
+            b'\n' => out.write_str("\\n")?,
+            b'\r' => out.write_str("\\r")?,
+            b'\t' => out.write_str("\\t")?,
+            b => write!(out, "\\u{b:04x}")?,
+        }
+        start = i + 1;
+    }
+    out.write_str(&s[start..])?;
+    out.write_char('"')
 }
 
 #[cfg(test)]
@@ -517,6 +543,37 @@ mod tests {
         let s = "line\nbreak \"quoted\" back\\slash tab\t unicode é 中";
         let text = Json::from(s).to_string();
         assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
+    }
+
+    #[test]
+    fn long_plain_runs_mixed_with_escapes_and_utf8_round_trip() {
+        let run = "0123456789abcdef".repeat(300);
+        let pieces = [
+            run.as_str(),
+            "\"",
+            run.as_str(),
+            "é中🦀",
+            run.as_str(),
+            "\\\n\r\t\u{1}\u{1f}",
+            "",
+            "中",
+            run.as_str(),
+        ];
+        let s: String = pieces.concat();
+        let text = Json::from(s.as_str()).to_string();
+        assert_eq!(
+            text.len(),
+            s.len() + 2 + 1 + 1 + 1 + 1 + 1 + 5 + 5,
+            "one backslash per short escape, six bytes per \\u escape"
+        );
+        assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
+        // As an object key and next to other values too.
+        let doc = Json::Obj(vec![(s.clone(), Json::Arr(vec![Json::from(s.as_str())]))]);
+        assert_eq!(Json::parse(&doc.to_string()).unwrap(), doc);
+        assert_eq!(Json::parse(&doc.to_string_pretty()).unwrap(), doc);
+        // An escape at the very end of the input is an error, not a panic.
+        assert!(Json::parse("\"abc\\").is_err());
+        assert!(Json::parse(&format!("\"{run}")).is_err());
     }
 
     #[test]

@@ -12,6 +12,8 @@
 //! * [`error`] — the library-wide error type.
 //! * [`json`] — a small JSON value with parser/writers for reports and
 //!   checkpoints, so the workspace builds without registry access.
+//! * [`hex`] — the fixed-width hex bit-pattern encoding every persisted
+//!   tensor (f32, f16 and i8 payloads) is stored in.
 //! * [`crc32`] + [`durable`] — integrity-checked, atomic (write-temp,
 //!   fsync, rename) file persistence for checkpoints and training
 //!   snapshots.
@@ -27,6 +29,7 @@ pub mod deadline;
 pub mod durable;
 pub mod error;
 pub mod fault;
+pub mod hex;
 pub mod json;
 pub mod rng;
 pub mod stats;
